@@ -130,9 +130,13 @@ func cmdCampaign(args []string) error {
 			PipelineDepth: *pipelineDepth,
 		}, *quick, *corpusPath != "")
 	} else {
-		rep, corpus, err = experiments.RunCampaign(experiments.CampaignParams{
+		var ran scenario.Spec
+		rep, ran, err = experiments.RunCampaign(experiments.CampaignParams{
 			Spec: spec, Config: cfg, Quick: *quick, Context: ctx,
 		})
+		if err == nil && *corpusPath != "" {
+			corpus, err = scenario.Generate(ran)
+		}
 	}
 	if tr != nil {
 		// Written even when the run failed: a trace of the failure is
@@ -185,13 +189,14 @@ func cmdCampaign(args []string) error {
 	return nil
 }
 
-// runDistributed fans the campaign out over remote workers on the
-// streamed protocol: each shard travels as (spec, range), workers
-// generate only their own slice, and the coordinator folds the
-// returned partial fingerprints instead of materializing the corpus —
-// the report still matches a local run byte for byte. Only when the
-// caller needs the corpus listing (needCorpus) is the corpus generated
-// here. SIGINT/SIGTERM cancels the coordinator; workers abandon the
+// runDistributed fans the campaign out over remote workers: each shard
+// travels as (spec, range), workers generate only their own slice, and
+// the coordinator folds the returned partial fingerprints instead of
+// materializing the corpus — the report still matches a local run
+// byte for byte. Only when the caller needs the corpus listing
+// (needCorpus) is the corpus generated here, and then its fingerprint
+// is pinned, so shards that drifted from the listing fail the run.
+// SIGINT/SIGTERM cancels the coordinator; workers abandon the
 // cancelled shards at their next scenario boundary.
 func runDistributed(ctx context.Context, spec scenario.Spec, cfg campaign.Config, opts distrib.Options, quick, needCorpus bool) (*campaign.Report, *scenario.Corpus, error) {
 	if quick {
@@ -202,19 +207,16 @@ func runDistributed(ctx context.Context, spec scenario.Spec, cfg campaign.Config
 			cfg.Duration = 100 * time.Millisecond
 		}
 	}
-	var corpus *scenario.Corpus
-	var job *campaign.Job
-	var err error
-	if needCorpus {
-		if corpus, err = scenario.Generate(spec); err != nil {
-			return nil, nil, fmt.Errorf("campaign: %w", err)
-		}
-		job, err = campaign.NewJob(corpus, cfg)
-	} else {
-		job, err = campaign.NewSpecJob(spec, cfg)
-	}
+	job, err := campaign.NewSpecJob(spec, cfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	var corpus *scenario.Corpus
+	if needCorpus {
+		if corpus, err = scenario.Generate(job.Spec()); err != nil {
+			return nil, nil, fmt.Errorf("campaign: %w", err)
+		}
+		job.SetExpectedFingerprint(corpus.Fingerprint().String())
 	}
 
 	ctx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)

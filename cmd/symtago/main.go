@@ -34,7 +34,7 @@
 //	                 [-flight n] [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]
 //	symtago worker   [-addr host:port] [-workers n] [-cache-dir dir]
-//	                 [-cache-bytes n] [-remote-cache url] [-corpus-cache n]
+//	                 [-cache-bytes n] [-remote-cache url]
 //	                 [-pprof-addr host:port]
 //	symtago cacheserver [-addr host:port] -cache-dir dir [-cache-bytes n]
 //	                 [-pprof-addr host:port]

@@ -16,10 +16,11 @@ import (
 // cmdWorker runs a shard worker: a small HTTP process that executes
 // contiguous campaign shard ranges on behalf of a coordinating
 // `symtago campaign -workers-addr` or `symtago serve -workers-addr`.
-// Workers regenerate the corpus from the spec in each request and
-// verify its fingerprint, so they never trust materialized scenarios;
-// with -cache-dir their converged results persist across restarts and
-// warm reruns are served from disk.
+// Workers generate only the requested range from the spec in each
+// request and return its partial fingerprint, so no scenario travels
+// and the coordinator can verify the corpus the rows came from; with
+// -cache-dir their converged results persist across restarts and warm
+// reruns are served from disk.
 func cmdWorker(args []string) error {
 	fs := newFlagSet("worker")
 	addr := fs.String("addr", "127.0.0.1:8480", "listen address")
@@ -27,14 +28,13 @@ func cmdWorker(args []string) error {
 	cacheDir := fs.String("cache-dir", "", "on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
 	remoteCache := remoteCacheFlag(fs)
-	corpusCache := fs.Int("corpus-cache", 0, "regenerated corpora kept in memory (0 = 4)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this extra address (empty = off)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	startPprof("worker", *pprofAddr)
 
-	wcfg := distrib.WorkerConfig{Workers: *workers, CorpusCache: *corpusCache}
+	wcfg := distrib.WorkerConfig{Workers: *workers}
 	store, disk, remote, err := sharedCache(*cacheDir, *cacheBytes, *remoteCache)
 	if err != nil {
 		return fmt.Errorf("worker: cache: %w", err)

@@ -259,40 +259,27 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	return row, nil
 }
 
-// Run executes the campaign over the corpus: scenarios are sharded
-// across the pool, rows are written by index, and the aggregate is
-// folded serially — the report is bit-identical for any worker count.
-// The first failing scenario (by index) aborts the campaign. Run is
-// the one-shot form of a Job run to completion.
-func Run(corpus *scenario.Corpus, cfg Config) (*Report, error) {
-	j, err := NewJob(corpus, cfg)
+// Run executes the campaign over the corpus the spec describes:
+// scenarios are generated and run across the pool, rows are written by
+// index, and the aggregate is folded serially — the report is
+// bit-identical for any worker count. The first failing scenario (by
+// index) aborts the campaign. Run is the one-shot form of a Job run to
+// completion.
+func Run(spec scenario.Spec, cfg Config) (*Report, error) {
+	j, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return j.Run(context.Background())
 }
 
-// RunShard executes scenarios [start, start+count) of the corpus and
-// returns their rows in index order. It is the worker-side unit of
-// distributed execution: a shard computed here is byte-identical to
-// the same indices computed by a local Run, because every scenario is
-// independent (private session store, deterministic pipeline). On
-// context cancellation the partial shard is discarded and the context
-// error returned — shards are retried whole.
-func RunShard(ctx context.Context, corpus *scenario.Corpus, cfg Config, start, count int) ([]ScenarioResult, error) {
-	if start < 0 || count <= 0 || start+count > len(corpus.Scenarios) {
-		return nil, fmt.Errorf("campaign: shard [%d,%d) outside corpus of %d",
-			start, start+count, len(corpus.Scenarios))
-	}
-	return RunScenarios(ctx, corpus.Scenarios[start:start+count], cfg)
-}
-
 // RunScenarios executes an already-generated slice of scenarios —
-// typically one drawn by scenario.GenerateRange on a streamed-protocol
-// worker — and returns their rows in slice order. Semantics match
-// RunShard (it is RunShard's body): rows are byte-identical to a local
-// Run of the same indices, and on context cancellation the partial
-// slice is discarded.
+// typically one drawn by scenario.GenerateRange on a shard worker —
+// and returns their rows in slice order. Rows are byte-identical to a
+// local Run of the same indices, because every scenario is independent
+// (private session store, deterministic pipeline). On context
+// cancellation the partial slice is discarded and the context error
+// returned — shards are retried whole.
 func RunScenarios(ctx context.Context, scs []scenario.Scenario, cfg Config) ([]ScenarioResult, error) {
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("campaign: empty scenario slice")
@@ -303,25 +290,35 @@ func RunScenarios(ctx context.Context, scs []scenario.Scenario, cfg Config) ([]S
 	ssp.SetInt("count", int64(len(scs)))
 	defer ssp.End()
 	rows := make([]ScenarioResult, len(scs))
-	errs := make([]error, len(scs))
+	err := runEach(ctx, len(scs), cfg.Workers, func(k int) (err error) {
+		rows[k], err = runOne(ctx, &scs[k], cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// runEach is the campaign's one parallel loop: it runs fn(k) for every
+// k in [0, n) over a pool of workers, and stops claiming new items once
+// ctx is cancelled. The lowest-index failure wins deterministically;
+// otherwise an interrupted loop returns the context error.
+func runEach(ctx context.Context, n, workers int, fn func(k int) error) error {
+	errs := make([]error, n)
 	var interrupted atomic.Bool
-	parallel.For(len(scs), cfg.Workers, func(_, k int) {
+	parallel.For(n, workers, func(_, k int) {
 		if ctx.Err() != nil {
 			interrupted.Store(true)
 			return
 		}
-		row, err := runOne(ctx, &scs[k], cfg)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		rows[k] = row
+		errs[k] = fn(k)
 	})
 	if err := parallel.FirstError(errs); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+		return fmt.Errorf("campaign: %w", err)
 	}
 	if interrupted.Load() || ctx.Err() != nil {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return rows, nil
+	return nil
 }

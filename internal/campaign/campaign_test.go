@@ -8,26 +8,21 @@ import (
 	"repro/internal/scenario"
 )
 
-// testCorpus generates a small deterministic corpus.
-func testCorpus(t *testing.T, count int) *scenario.Corpus {
-	t.Helper()
-	corpus, err := scenario.Generate(scenario.Spec{Count: count, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return corpus
+// testSpec describes a small deterministic corpus.
+func testSpec(count int) scenario.Spec {
+	return scenario.Spec{Count: count, Seed: 1}
 }
 
 // TestCampaignDeterministicAcrossWorkers pins the sharding contract:
 // the whole report — rows, aggregates, CSV bytes, rendered text — is
 // bit-identical at 1, 4 and 8 workers.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	corpus := testCorpus(t, 24)
+	spec := testSpec(24)
 	var ref *Report
 	var refCSV []byte
 	var refText string
 	for _, workers := range []int{1, 4, 8} {
-		rep, err := Run(corpus, Config{Workers: workers})
+		rep, err := Run(spec, Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -64,8 +59,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 // generated population: no observation beyond its bound, loss only
 // where the analysis predicted it.
 func TestCampaignCrossValidation(t *testing.T) {
-	corpus := testCorpus(t, 40)
-	rep, err := Run(corpus, Config{Workers: 4})
+	spec := testSpec(40)
+	rep, err := Run(spec, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +91,8 @@ func TestCampaignCrossValidation(t *testing.T) {
 
 // TestCampaignAnalysisOnly disables the simulation stage.
 func TestCampaignAnalysisOnly(t *testing.T) {
-	corpus := testCorpus(t, 8)
-	rep, err := Run(corpus, Config{Workers: 2, Seeds: -1})
+	spec := testSpec(8)
+	rep, err := Run(spec, Config{Workers: 2, Seeds: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +104,11 @@ func TestCampaignAnalysisOnly(t *testing.T) {
 	}
 }
 
-// TestCampaignEmptyCorpus rejects an empty population.
+// TestCampaignEmptyCorpus rejects a spec that describes no population.
+// A zero count selects the default size, so the nearest input is a
+// negative count.
 func TestCampaignEmptyCorpus(t *testing.T) {
-	if _, err := Run(&scenario.Corpus{}, Config{}); err == nil {
-		t.Fatal("empty corpus accepted")
+	if _, err := Run(scenario.Spec{Count: -1}, Config{}); err == nil {
+		t.Fatal("negative corpus count accepted")
 	}
 }

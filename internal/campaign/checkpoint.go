@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
-
-	"repro/internal/scenario"
 )
 
 // checkpointVersion guards the checkpoint wire format: a restore of a
@@ -17,11 +14,11 @@ import (
 const checkpointVersion = 2
 
 // checkpointFile is the serialised form of an interrupted Job: the
-// corpus reference (regenerated on restore and verified by
-// fingerprint), the effective run configuration, and every completed
-// row. Rows use the lossless WireRow encoding so a restored row is
-// bit-identical to the one that was checkpointed — the resumed report
-// must not differ from an uninterrupted run in a single byte.
+// corpus reference (spec plus fingerprint, verified on restore), the
+// effective run configuration, and every completed row. Rows use the
+// lossless WireRow encoding so a restored row is bit-identical to the
+// one that was checkpointed — the resumed report must not differ from
+// an uninterrupted run in a single byte.
 type checkpointFile struct {
 	Version int           `json:"version"`
 	Corpus  CorpusRef     `json:"corpus"`
@@ -40,27 +37,23 @@ type checkpointCfg struct {
 // Checkpoint serialises the job's completed rows and configuration so
 // a later RestoreJob — in this process or after a restart — resumes
 // with exactly the pending scenarios and folds a report bit-identical
-// to an uninterrupted run. Checkpoint must not race a concurrent Run
-// of the same job: cancel the run first (the rows recorded up to the
-// cancellation are kept and captured here).
+// to an uninterrupted run. The corpus fingerprint is recorded too: the
+// pinned one, or else the one the spec generates, folded one scenario
+// at a time. Checkpoint must not race a concurrent Run of the same
+// job: cancel the run first (the rows recorded up to the cancellation
+// are kept and captured here).
 func (j *Job) Checkpoint(w io.Writer) error {
-	var ref CorpusRef
-	var err error
-	if j.corpus != nil {
-		ref, err = NewCorpusRef(j.corpus)
-	} else {
-		// A streamed job checkpoints its spec alone — the fingerprint is
-		// only known once the incremental fold completes, and a restore
-		// stays streamed (rows installed here fold lazily on resume).
-		ref, err = NewSpecRef(j.spec)
-		if err == nil {
-			j.mu.Lock()
-			ref.Fingerprint = j.expected
-			j.mu.Unlock()
-		}
-	}
+	ref, err := NewSpecRef(j.spec)
 	if err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	j.mu.Lock()
+	ref.Fingerprint = j.expected
+	j.mu.Unlock()
+	if ref.Fingerprint == "" {
+		if ref.Fingerprint, err = foldFingerprint(j.spec); err != nil {
+			return fmt.Errorf("campaign: checkpoint: %w", err)
+		}
 	}
 	cp := checkpointFile{
 		Version: checkpointVersion,
@@ -82,10 +75,12 @@ func (j *Job) Checkpoint(w io.Writer) error {
 	return enc.Encode(&cp)
 }
 
-// RestoreJob rebuilds a checkpointed job: the corpus is regenerated
-// from the embedded spec (and verified against the recorded
-// fingerprint), completed rows are installed, and the returned Job's
-// next Run processes only the pending scenarios. The eventual report
+// RestoreJob rebuilds a checkpointed job from the embedded spec and
+// installs the completed rows; the returned Job's next Run processes
+// only the pending scenarios. When the checkpoint records a corpus
+// fingerprint, the spec must still generate it — checked here, folding
+// one scenario at a time — and the fingerprint is pinned, so shards
+// computed after the restore are held to it too. The eventual report
 // is bit-identical to an uninterrupted run of the original job.
 func RestoreJob(r io.Reader) (*Job, error) {
 	var cp checkpointFile
@@ -97,35 +92,27 @@ func RestoreJob(r io.Reader) (*Job, error) {
 		return nil, fmt.Errorf("campaign: restore: checkpoint version %d, want %d",
 			cp.Version, checkpointVersion)
 	}
-	cfg := Config{
+	spec, err := cp.Corpus.decodeSpec()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: restore: %w", err)
+	}
+	j, err := NewSpecJob(spec, Config{
 		Workers: cp.Config.Workers, Seeds: cp.Config.Seeds,
 		Duration:      time.Duration(cp.Config.DurationNS),
 		StoreCapacity: cp.Config.StoreCapacity, MaxIterations: cp.Config.MaxIterations,
+	})
+	if err != nil {
+		return nil, err
 	}
-	var j *Job
-	if cp.Corpus.Fingerprint == "" {
-		// Streamed checkpoint: restore stays spec-only; the resumed run
-		// re-derives every restored row's leaf at fold time, so tampering
-		// with the checkpointed spec still fails the final fingerprint
-		// check against any expectation the caller pins.
-		spec, perr := scenario.ParseSpec(strings.NewReader(cp.Corpus.Spec))
-		if perr != nil {
-			return nil, fmt.Errorf("campaign: restore: %w", perr)
-		}
-		var err error
-		j, err = NewSpecJob(spec, cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		corpus, err := cp.Corpus.Resolve()
+	if want := cp.Corpus.Fingerprint; want != "" {
+		fp, err := foldFingerprint(j.spec)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: restore: %w", err)
 		}
-		j, err = NewJob(corpus, cfg)
-		if err != nil {
-			return nil, err
+		if fp != want {
+			return nil, fmt.Errorf("campaign: restore: regenerated corpus fingerprint %s does not match checkpoint %s", fp, want)
 		}
+		j.SetExpectedFingerprint(want)
 	}
 	rows := make([]ScenarioResult, 0, len(cp.Rows))
 	for i := range cp.Rows {
@@ -135,7 +122,10 @@ func RestoreJob(r io.Reader) (*Job, error) {
 		}
 		rows = append(rows, row)
 	}
-	if err := j.InstallRows(rows); err != nil {
+	j.mu.Lock()
+	_, err = j.installLocked(rows)
+	j.mu.Unlock()
+	if err != nil {
 		return nil, fmt.Errorf("campaign: restore: %w", err)
 	}
 	return j, nil

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,14 +14,11 @@ import (
 // SIGTERM restart), and checks the resumed run folds a report
 // bit-identical to an uninterrupted one.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, spec, cfg)
 
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +53,14 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonical(t, got) != canonical(t, want) {
-		t.Fatal("restored report differs from uninterrupted run")
-	}
+	matchOracle(t, "checkpoint-resumed job", got, want)
 }
 
 // TestCheckpointOfFinishedJob round-trips a completed job: the restore
 // has nothing pending and its Run folds the identical report.
 func TestCheckpointOfFinishedJob(t *testing.T) {
-	corpus := jobCorpus(t)
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(jobSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +89,7 @@ func TestCheckpointOfFinishedJob(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
-	corpus := jobCorpus(t)
-	j, err := NewJob(corpus, Config{Workers: 1, Seeds: 1, Duration: 50e6})
+	j, err := NewSpecJob(jobSpec(), Config{Workers: 1, Seeds: 1, Duration: 50e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +108,54 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		if _, err := RestoreJob(strings.NewReader(mangle)); err == nil {
 			t.Errorf("%s: restore accepted a corrupt checkpoint", name)
 		}
+	}
+}
+
+// TestRestorePreviousCheckpoints restores checkpoints written by the
+// code that preceded the spec-only job — one by a materialized job
+// interrupted mid-run (it records the corpus fingerprint), one by a
+// streamed job fed two shards (it records none) — so a server drained
+// by that binary restarts cleanly under this one. Both resume to the
+// oracle's report, and the fingerprint of the first is verified.
+func TestRestorePreviousCheckpoints(t *testing.T) {
+	want := oracle(t, jobSpec(), Config{Seeds: 1, Duration: 50e6})
+	for _, tc := range []struct {
+		file string
+		done int
+	}{
+		{"local-interrupted.json", 5},
+		{"streamed-shards.json", 6},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := RestoreJob(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if done, total := j.Progress(); done != tc.done || total != 12 {
+			t.Fatalf("%s: restored progress %d/%d, want %d/12", tc.file, done, total, tc.done)
+		}
+		got, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		matchOracle(t, tc.file, got, want)
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "local-interrupted.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Change one digit of the recorded fingerprint.
+	at := bytes.Index(data, []byte(`"fingerprint":"`)) + len(`"fingerprint":"`)
+	if data[at] == '0' {
+		data[at] = '1'
+	} else {
+		data[at] = '0'
+	}
+	if _, err := RestoreJob(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("restore of a checkpoint with a changed fingerprint: %v", err)
 	}
 }

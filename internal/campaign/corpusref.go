@@ -14,37 +14,24 @@ const corpusRefVersion = 1
 // CorpusRef is the versioned corpus-regeneration reference shared by
 // job checkpoints and the distributed shard wire: a corpus is never
 // materialized for transport — the deterministic generator spec is
-// shipped, the receiver regenerates, and the fingerprint is verified,
-// so a drifted or skewed generator fails loudly instead of silently
-// computing rows for the wrong population.
+// shipped and the receiver regenerates what it needs. A checkpoint
+// also records the corpus fingerprint, so a drifted or skewed
+// generator fails the restore loudly instead of silently resuming rows
+// for the wrong population.
 type CorpusRef struct {
 	// Version is the reference format version (corpusRefVersion).
 	Version int `json:"version"`
-	// Fingerprint is the corpus content digest the regenerated corpus
-	// must reproduce.
+	// Fingerprint is the corpus content digest the spec must
+	// reproduce. Shard requests leave it empty: their corpus identity
+	// is established after the fact by folding per-shard partial
+	// fingerprints.
 	Fingerprint string `json:"fingerprint"`
 	// Spec is the encoded scenario.Spec the corpus regenerates from.
 	Spec string `json:"spec"`
 }
 
-// NewCorpusRef captures a corpus as its spec plus fingerprint.
-func NewCorpusRef(corpus *scenario.Corpus) (CorpusRef, error) {
-	var specBuf bytes.Buffer
-	if err := corpus.Spec.Encode(&specBuf); err != nil {
-		return CorpusRef{}, fmt.Errorf("campaign: corpus ref: %w", err)
-	}
-	return CorpusRef{
-		Version:     corpusRefVersion,
-		Fingerprint: corpus.Fingerprint().String(),
-		Spec:        specBuf.String(),
-	}, nil
-}
-
 // NewSpecRef captures a corpus by its generation spec alone, with no
-// fingerprint: the streamed-protocol form, where the corpus identity
-// is established after the fact by folding per-shard partial
-// fingerprints rather than asserted up front. A spec-only ref cannot
-// be Resolved whole — receivers draw their slice with ResolveRange.
+// fingerprint. Receivers draw their slice with ResolveRange.
 func NewSpecRef(spec scenario.Spec) (CorpusRef, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -60,48 +47,52 @@ func NewSpecRef(spec scenario.Spec) (CorpusRef, error) {
 	}, nil
 }
 
-// Resolve regenerates the corpus from the embedded spec and verifies
-// it against the recorded fingerprint.
-func (r CorpusRef) Resolve() (*scenario.Corpus, error) {
+// decodeSpec checks the reference version and parses its spec.
+func (r CorpusRef) decodeSpec() (scenario.Spec, error) {
 	if r.Version != corpusRefVersion {
-		return nil, fmt.Errorf("campaign: corpus ref version %d, want %d", r.Version, corpusRefVersion)
-	}
-	if r.Fingerprint == "" {
-		return nil, fmt.Errorf("campaign: corpus ref carries no fingerprint; only ranges of it can be resolved")
+		return scenario.Spec{}, fmt.Errorf("campaign: corpus ref version %d, want %d", r.Version, corpusRefVersion)
 	}
 	spec, err := scenario.ParseSpec(strings.NewReader(r.Spec))
 	if err != nil {
-		return nil, fmt.Errorf("campaign: corpus ref spec: %w", err)
+		return scenario.Spec{}, fmt.Errorf("campaign: corpus ref spec: %w", err)
 	}
-	corpus, err := scenario.Generate(spec)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: corpus ref corpus: %w", err)
-	}
-	if fp := corpus.Fingerprint().String(); fp != r.Fingerprint {
-		return nil, fmt.Errorf("campaign: regenerated corpus fingerprint %s does not match reference %s",
-			fp, r.Fingerprint)
-	}
-	return corpus, nil
+	return spec, nil
 }
 
 // ResolveRange draws only scenarios [start, start+count) of the
 // referenced corpus, plus the additive partial fingerprint of exactly
 // that slice. The cost is O(count) regardless of corpus size — the
-// worker-side half of the streamed protocol. The embedded fingerprint,
+// worker-side half of the shard protocol. The embedded fingerprint,
 // if any, is not checked here: a range cannot prove corpus identity,
 // so verification happens at the coordinator when the per-shard
 // partials fold to the full fingerprint.
 func (r CorpusRef) ResolveRange(start, count int) ([]scenario.Scenario, scenario.Partial, error) {
-	if r.Version != corpusRefVersion {
-		return nil, scenario.Partial{}, fmt.Errorf("campaign: corpus ref version %d, want %d", r.Version, corpusRefVersion)
-	}
-	spec, err := scenario.ParseSpec(strings.NewReader(r.Spec))
+	spec, err := r.decodeSpec()
 	if err != nil {
-		return nil, scenario.Partial{}, fmt.Errorf("campaign: corpus ref spec: %w", err)
+		return nil, scenario.Partial{}, err
 	}
 	scs, err := scenario.GenerateRange(spec, start, count)
 	if err != nil {
 		return nil, scenario.Partial{}, fmt.Errorf("campaign: corpus ref range: %w", err)
 	}
 	return scs, scenario.PartialOf(scs), nil
+}
+
+// foldFingerprint is the fingerprint of the corpus the (defaulted)
+// spec generates, folded from scenario leaves one scenario at a time
+// so the corpus is never held in memory.
+func foldFingerprint(spec scenario.Spec) (string, error) {
+	var p scenario.Partial
+	for i := 0; i < spec.Count; i++ {
+		sc, err := scenario.GenerateOne(spec, i)
+		if err != nil {
+			return "", err
+		}
+		p.Add(scenario.Leaf(sc))
+	}
+	d, err := scenario.FingerprintFrom(spec, p)
+	if err != nil {
+		return "", err
+	}
+	return d.String(), nil
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/contenthash"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/scenario"
 )
 
@@ -20,29 +17,24 @@ import (
 // interrupted and resumed, because rows are independent and the
 // aggregate folds them in corpus order.
 //
-// A job exists in one of two modes. A materialized job (NewJob) holds
-// the generated corpus. A streamed job (NewSpecJob) holds only the
-// spec: scenarios are generated on demand — per index locally, per
-// shard range on distributed workers — and the corpus fingerprint is
-// folded incrementally from scenario leaf digests, so a 50k-scenario
-// distributed campaign never materializes its corpus on the
-// coordinator. Reports are byte-identical across the two modes.
+// A job holds only its spec: scenarios are generated on demand — per
+// index locally, per shard range on distributed workers — and the
+// corpus fingerprint is folded incrementally from scenario leaf
+// digests, so a 50k-scenario campaign never materializes its corpus.
 //
 // Job is safe for concurrent Progress/Report reads while one Run is
 // executing; concurrent Runs of the same job are not supported.
 type Job struct {
-	spec   scenario.Spec    // defaulted generation parameters
-	corpus *scenario.Corpus // nil for a streamed (spec-only) job
-	cfg    Config
-	total  int
+	spec scenario.Spec // defaulted generation parameters
+	cfg  Config
 
 	mu        sync.Mutex
 	rows      []ScenarioResult
 	done      []bool
 	completed int
 	// leafed marks rows whose scenario leaf digest has been folded into
-	// partial; rows installed without a partial (checkpoint restore, v1
-	// wire) are folded lazily when the report fingerprint is resolved.
+	// partial; rows installed without a partial (checkpoint restore)
+	// are folded lazily when the report fingerprint is resolved.
 	leafed  []bool
 	partial scenario.Partial
 	// expected, when set, is the corpus fingerprint the fold must
@@ -52,30 +44,11 @@ type Job struct {
 	report   *Report
 }
 
-// NewJob prepares a campaign over a materialized corpus without
-// starting it. The configuration is defaulted exactly as Run defaults
-// it.
-func NewJob(corpus *scenario.Corpus, cfg Config) (*Job, error) {
-	if len(corpus.Scenarios) == 0 {
-		return nil, fmt.Errorf("campaign: empty corpus")
-	}
-	n := len(corpus.Scenarios)
-	return &Job{
-		spec:   corpus.Spec,
-		corpus: corpus,
-		cfg:    cfg.withDefaults(),
-		total:  n,
-		rows:   make([]ScenarioResult, n),
-		done:   make([]bool, n),
-		leafed: make([]bool, n),
-	}, nil
-}
-
-// NewSpecJob prepares a streamed campaign from generation parameters
-// alone: no scenario is drawn until it is needed, locally by index or
-// remotely by shard range. This is the coordinator-side form of the
-// distributed protocol — the job's memory footprint is O(rows), never
-// O(corpus).
+// NewSpecJob prepares a campaign from generation parameters without
+// starting it: no scenario is drawn until it is needed, locally by
+// index or remotely by shard range, so the job's memory footprint is
+// O(rows), never O(corpus). The configuration is defaulted exactly as
+// Run defaults it.
 func NewSpecJob(spec scenario.Spec, cfg Config) (*Job, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -85,7 +58,6 @@ func NewSpecJob(spec scenario.Spec, cfg Config) (*Job, error) {
 	return &Job{
 		spec:   spec,
 		cfg:    cfg.withDefaults(),
-		total:  n,
 		rows:   make([]ScenarioResult, n),
 		done:   make([]bool, n),
 		leafed: make([]bool, n),
@@ -93,24 +65,18 @@ func NewSpecJob(spec scenario.Spec, cfg Config) (*Job, error) {
 }
 
 // Total returns the corpus size.
-func (j *Job) Total() int { return j.total }
-
-// Corpus returns the materialized corpus, or nil for a streamed job.
-func (j *Job) Corpus() *scenario.Corpus { return j.corpus }
+func (j *Job) Total() int { return j.spec.Count }
 
 // Spec returns the job's (defaulted) generation parameters.
 func (j *Job) Spec() scenario.Spec { return j.spec }
-
-// Streamed reports whether the job runs from the spec alone.
-func (j *Job) Streamed() bool { return j.corpus == nil }
 
 // Config returns the job's effective (defaulted) configuration.
 func (j *Job) Config() Config { return j.cfg }
 
 // SetExpectedFingerprint pins the corpus fingerprint the incremental
-// fold must reproduce. Checkpoint restores and coordinators that know
-// the corpus identity set it; the final Run fails if the folded
-// fingerprint differs — the tamper/drift rejection of the streamed
+// fold must reproduce. Checkpoint restores and callers that know the
+// corpus identity set it; the final Run fails if the folded
+// fingerprint differs — the tamper/drift rejection of the shard
 // protocol.
 func (j *Job) SetExpectedFingerprint(fp string) {
 	j.mu.Lock()
@@ -162,29 +128,15 @@ func (j *Job) PendingRanges(size int) []ShardRange {
 // amortises.
 const DefaultShardSize = 256
 
-// InstallRows records externally computed rows (a completed shard).
-// Rows whose scenario already has a recorded row are ignored — shard
-// retries may legitimately complete twice, and rows are deterministic,
-// so the duplicate carries the same values. An index outside the
-// corpus is an error. Installing the last pending rows does not fold
-// the report; the next Run (with nothing pending) folds and returns
-// it. Rows installed here carry no leaf fold — their leaves are
-// resolved when the report fingerprint is (from the corpus, or by
-// regenerating the indices of a streamed job).
-func (j *Job) InstallRows(rows []ScenarioResult) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := j.installLocked(rows)
-	return err
-}
-
 // InstallShard records a completed shard together with its partial
 // fingerprint — the additive fold of the shard's scenario leaf
 // digests, computed by whoever generated the slice. The partial must
-// cover exactly the shard's rows. When every row is new the partial
-// merges into the job's incremental corpus fold; a duplicate shard
-// (retry that lost the race) is ignored whole, fold included, so no
-// leaf is ever counted twice.
+// cover exactly the shard's rows, and an index outside the corpus is
+// an error. When every row is new the partial merges into the job's
+// incremental corpus fold; a duplicate shard (retry that lost the
+// race) is ignored whole, fold included, so no leaf is ever counted
+// twice. Installing the last pending rows does not fold the report;
+// the next Run (with nothing pending) folds and returns it.
 func (j *Job) InstallShard(rows []ScenarioResult, partial scenario.Partial) error {
 	if partial.N != len(rows) {
 		return fmt.Errorf("campaign: shard partial covers %d leaves for %d rows", partial.N, len(rows))
@@ -205,7 +157,8 @@ func (j *Job) InstallShard(rows []ScenarioResult, partial scenario.Partial) erro
 }
 
 // installLocked records the new rows, returning how many were not
-// already done. Callers hold j.mu.
+// already done. Rows are deterministic, so a duplicate carries the
+// same values and is skipped. Callers hold j.mu.
 func (j *Job) installLocked(rows []ScenarioResult) (installed int, err error) {
 	for i := range rows {
 		idx := rows[i].Index
@@ -227,7 +180,7 @@ func (j *Job) installLocked(rows []ScenarioResult) (installed int, err error) {
 func (j *Job) Progress() (completed, total int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.completed, j.total
+	return j.completed, len(j.rows)
 }
 
 // Report returns the final report, or nil while scenarios are pending.
@@ -237,21 +190,11 @@ func (j *Job) Report() *Report {
 	return j.report
 }
 
-// scenarioAt returns scenario i: from the corpus when materialized,
-// generated on demand for a streamed job.
-func (j *Job) scenarioAt(i int) (*scenario.Scenario, error) {
-	if j.corpus != nil {
-		return &j.corpus.Scenarios[i], nil
-	}
-	return scenario.GenerateOne(j.spec, i)
-}
-
 // resolveFingerprintLocked completes the incremental corpus fold —
-// leaves not yet folded (local rows of a materialized job, rows
-// restored from a checkpoint, v1-wire shards) are resolved from the
-// corpus or regenerated by index — finalizes it into the corpus
-// fingerprint, and verifies it against the expected fingerprint and,
-// for a materialized job, the corpus itself. A mismatch means some
+// leaves not yet folded (rows restored from a checkpoint, or a shard
+// that only partly overlapped installed rows) are regenerated by index
+// — finalizes it into the corpus fingerprint, and verifies it against
+// the expected fingerprint when one is pinned. A mismatch means some
 // installed rows were computed over a different population than the
 // fold claims: the report would be silently wrong, so the run fails
 // loudly instead. Callers hold j.mu.
@@ -260,17 +203,11 @@ func (j *Job) resolveFingerprintLocked() (string, error) {
 		if !d || j.leafed[i] {
 			continue
 		}
-		var leaf contenthash.Digest
-		if j.corpus != nil {
-			leaf = scenario.Leaf(&j.corpus.Scenarios[i])
-		} else {
-			sc, err := scenario.GenerateOne(j.spec, i)
-			if err != nil {
-				return "", fmt.Errorf("campaign: %w", err)
-			}
-			leaf = scenario.Leaf(sc)
+		sc, err := scenario.GenerateOne(j.spec, i)
+		if err != nil {
+			return "", fmt.Errorf("campaign: %w", err)
 		}
-		j.partial.Add(leaf)
+		j.partial.Add(scenario.Leaf(sc))
 		j.leafed[i] = true
 	}
 	d, err := scenario.FingerprintFrom(j.spec, j.partial)
@@ -278,16 +215,8 @@ func (j *Job) resolveFingerprintLocked() (string, error) {
 		return "", fmt.Errorf("campaign: %w", err)
 	}
 	fp := d.String()
-	want := j.expected
-	if j.corpus != nil {
-		if cfp := j.corpus.Fingerprint().String(); want == "" {
-			want = cfp
-		} else if want != cfp {
-			return "", fmt.Errorf("campaign: expected fingerprint %s does not match the job's corpus %s", want, cfp)
-		}
-	}
-	if want != "" && fp != want {
-		return "", fmt.Errorf("campaign: folded corpus fingerprint %s does not match expected %s — a shard returned rows for a drifted or tampered corpus", fp, want)
+	if j.expected != "" && fp != j.expected {
+		return "", fmt.Errorf("campaign: folded corpus fingerprint %s does not match expected %s — a shard returned rows for a drifted or tampered corpus", fp, j.expected)
 	}
 	return fp, nil
 }
@@ -321,23 +250,15 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 	csp.SetInt("total", int64(len(j.done)))
 	defer csp.End()
 
-	errs := make([]error, len(pending))
-	var interrupted atomic.Bool
-	parallel.For(len(pending), j.cfg.Workers, func(_, k int) {
-		if ctx.Err() != nil {
-			interrupted.Store(true)
-			return
-		}
+	err := runEach(ctx, len(pending), j.cfg.Workers, func(k int) error {
 		i := pending[k]
-		sc, err := j.scenarioAt(i)
+		sc, err := scenario.GenerateOne(j.spec, i)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		row, err := runOne(ctx, sc, j.cfg)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		leaf := scenario.Leaf(sc)
 		j.mu.Lock()
@@ -349,12 +270,10 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 			j.leafed[i] = true
 		}
 		j.mu.Unlock()
+		return nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if interrupted.Load() || ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err != nil {
+		return nil, err
 	}
 
 	j.mu.Lock()

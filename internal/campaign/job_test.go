@@ -20,24 +20,53 @@ func canonical(t *testing.T, r *Report) string {
 	return b.String()
 }
 
-// jobCorpus draws a small corpus shared by the job tests.
-func jobCorpus(t *testing.T) *scenario.Corpus {
+// jobSpec describes a small corpus shared by the job tests.
+func jobSpec() scenario.Spec {
+	return scenario.Spec{Seed: 11, Count: 12}
+}
+
+// oracle is the serial reference every execution path must reproduce
+// byte for byte: the whole corpus generated up front, each scenario
+// run in index order on one goroutine, and the aggregate folded with
+// the corpus's own fingerprint. It shares only the per-scenario
+// pipeline and the aggregate with the code under test — no job, pool,
+// leaf fold or shard install.
+func oracle(t *testing.T, spec scenario.Spec, cfg Config) *Report {
 	t.Helper()
-	corpus, err := scenario.Generate(scenario.Spec{Seed: 11, Count: 12})
+	corpus, err := scenario.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return corpus
+	cfg = cfg.withDefaults()
+	rows := make([]ScenarioResult, len(corpus.Scenarios))
+	for i := range corpus.Scenarios {
+		if rows[i], err = runScenario(context.Background(), &corpus.Scenarios[i], cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return aggregate(corpus.Spec, corpus.Fingerprint().String(), cfg, rows)
+}
+
+// matchOracle fails unless got is the oracle's report byte for byte,
+// fingerprint included.
+func matchOracle(t *testing.T, what string, got, want *Report) {
+	t.Helper()
+	if got.Fingerprint != want.Fingerprint {
+		t.Fatalf("%s: fingerprint %s, want the corpus fingerprint %s", what, got.Fingerprint, want.Fingerprint)
+	}
+	if canonical(t, got) != canonical(t, want) {
+		t.Fatalf("%s: report differs from the serial oracle", what)
+	}
 }
 
 func TestJobMatchesRun(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	cfg := Config{Workers: 4, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, cfg)
+	want, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +91,11 @@ func TestJobMatchesRun(t *testing.T) {
 // the resumed job completes with a report bit-identical to an
 // uninterrupted run, and that the interruption preserved progress.
 func TestJobResumeAfterCancel(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, spec, cfg)
 
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +114,7 @@ func TestJobResumeAfterCancel(t *testing.T) {
 
 	// Resume in two halves: cancel after a few scenarios, then finish.
 	ctx, cancelMid := context.WithCancel(context.Background())
-	mid, err := NewJob(corpus, cfg)
+	mid, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +141,16 @@ func TestJobResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonical(t, got) != canonical(t, want) {
-		t.Fatal("resumed report differs from uninterrupted run")
-	}
+	matchOracle(t, "resumed job", got, want)
 	if done, total := mid.Progress(); done != total {
 		t.Fatalf("finished job reports %d/%d", done, total)
 	}
 }
 
+// TestJobEmptyCorpus: a spec cannot describe an empty corpus (a zero
+// count selects the default size), so a negative count is refused.
 func TestJobEmptyCorpus(t *testing.T) {
-	if _, err := NewJob(&scenario.Corpus{}, Config{}); err == nil {
-		t.Fatal("NewJob accepted an empty corpus")
+	if _, err := NewSpecJob(scenario.Spec{Count: -1}, Config{}); err == nil {
+		t.Fatal("NewSpecJob accepted a negative corpus count")
 	}
 }

@@ -44,9 +44,9 @@ func dialRemote(t *testing.T, url string, transport http.RoundTripper) *cache.Re
 // and warm alike, and the warm passes must actually be served by the
 // remote tier.
 func TestCampaignRemoteTierDeterministic(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	base := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, base)
+	want, err := Run(spec, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCampaignRemoteTierDeterministic(t *testing.T) {
 		// The production stack of a diskless worker: private L1s over
 		// the fleet tier.
 		cfg.Cache = remote
-		rep, err := Run(corpus, cfg)
+		rep, err := Run(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestCampaignRemoteTierDeterministic(t *testing.T) {
 	defer remote.Close()
 	cfg := base
 	cfg.Cache = remote
-	rep, err := Run(corpus, cfg)
+	rep, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,9 @@ func TestCampaignRemoteTierDeterministic(t *testing.T) {
 // degrades the worst case to local-only instead of hammering a dead
 // peer.
 func TestCampaignRemoteTierFaulty(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	base := Config{Workers: 4, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, base)
+	want, err := Run(spec, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCampaignRemoteTierFaulty(t *testing.T) {
 	warm := dialRemote(t, url, nil)
 	cfg := base
 	cfg.Cache = warm
-	if _, err := Run(corpus, cfg); err != nil {
+	if _, err := Run(spec, cfg); err != nil {
 		t.Fatal(err)
 	}
 	warm.Close()
@@ -129,7 +129,7 @@ func TestCampaignRemoteTierFaulty(t *testing.T) {
 			defer remote.Close()
 			cfg := base
 			cfg.Cache = remote
-			rep, err := Run(corpus, cfg)
+			rep, err := Run(spec, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,9 +152,9 @@ func TestCampaignRemoteTierFaulty(t *testing.T) {
 // report byte-identical with a cold disk, a warm disk, and a cold disk
 // plus warm fleet.
 func TestCampaignThreeTierStack(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	base := Config{Workers: 4, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, base)
+	want, err := Run(spec, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCampaignThreeTierStack(t *testing.T) {
 	r1 := dialRemote(t, url, nil)
 	cfg := base
 	cfg.Cache = cache.NewTiered(disk1, r1)
-	rep, err := Run(corpus, cfg)
+	rep, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCampaignThreeTierStack(t *testing.T) {
 	r2 := dialRemote(t, url, nil)
 	defer r2.Close()
 	cfg.Cache = cache.NewTiered(disk2, r2)
-	rep, err = Run(corpus, cfg)
+	rep, err = Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

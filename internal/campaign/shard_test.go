@@ -6,32 +6,47 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/scenario"
 	"repro/internal/whatif"
 )
 
-// TestRunShardFoldsIdentical rebuilds a campaign from shards: the
-// corpus travels as a CorpusRef, each shard is computed by RunShard
-// (through the WireRow transport encoding, as the distributed protocol
-// ships it), rows are installed out of dispatch order, and the folded
-// report must be byte-identical to a plain local Run.
+// TestRunShardFoldsIdentical rebuilds a campaign from shards the way a
+// distributed run folds it: the corpus travels as a spec reference,
+// each shard is resolved and run the way a worker does (ResolveRange,
+// then RunScenarios, through the WireRow transport encoding), shards
+// install in reverse dispatch order, and the folded report must be the
+// oracle's. A duplicate install (a retried shard that completed twice)
+// is ignored, not double-counted, and a range outside the corpus is
+// refused.
 func TestRunShardFoldsIdentical(t *testing.T) {
-	corpus := jobCorpus(t)
+	spec := jobSpec()
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, cfg)
+	want := oracle(t, spec, cfg)
+	ref, err := NewSpecRef(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	runShard := func(r ShardRange) ([]ScenarioResult, scenario.Partial) {
+		t.Helper()
+		scs, partial, err := ref.ResolveRange(r.Start, r.Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := RunScenarios(context.Background(), scs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wired := make([]ScenarioResult, len(rows))
+		for k := range rows {
+			w := NewWireRow(&rows[k])
+			if wired[k], err = w.Result(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return wired, partial
 	}
 
-	ref, err := NewCorpusRef(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := ref.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +58,8 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	if total != j.Total() || len(ranges) != 3 {
 		t.Fatalf("pending ranges %v do not cover a fresh job of %d", ranges, j.Total())
 	}
-	// Install shards in reverse dispatch order, round-tripped through
-	// the wire encoding.
 	for i := len(ranges) - 1; i >= 0; i-- {
-		r := ranges[i]
-		rows, err := RunShard(context.Background(), remote, cfg, r.Start, r.Count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wired := make([]ScenarioResult, len(rows))
-		for k := range rows {
-			w := NewWireRow(&rows[k])
-			if wired[k], err = w.Result(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := j.InstallRows(wired); err != nil {
+		if err := j.InstallShard(runShard(ranges[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,38 +70,27 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonical(t, got) != canonical(t, want) {
-		t.Fatal("shard-folded report differs from local run")
-	}
+	matchOracle(t, "shard-folded job", got, want)
 
-	// Duplicate installs (a retried shard that completed twice) are
-	// ignored, not double-counted.
-	rows, err := RunShard(context.Background(), remote, cfg, ranges[0].Start, ranges[0].Count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.InstallRows(rows); err != nil {
+	if err := j.InstallShard(runShard(ranges[0])); err != nil {
 		t.Fatal(err)
 	}
 	if done, tot := j.Progress(); done != tot {
 		t.Fatalf("duplicate install corrupted progress: %d/%d", done, tot)
 	}
-	if _, err := RunShard(context.Background(), remote, cfg, total-2, 5); err == nil {
+	if _, _, err := ref.ResolveRange(total-2, 5); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }
 
-// TestRunShardSharedCacheIdentical runs the shards over a shared disk
-// level twice: rows — cache counters included — must be identical to
-// the private-store run both cold and warm, and the warm pass must be
-// served predominantly from the disk level.
-func TestRunShardSharedCacheIdentical(t *testing.T) {
-	corpus := jobCorpus(t)
+// TestRunScenariosSharedCacheIdentical runs the whole corpus as one
+// shard over a shared disk level twice: rows — cache counters
+// included — must fold to the oracle's report both cold and warm, and
+// the warm pass must be served predominantly from the disk level.
+func TestRunScenariosSharedCacheIdentical(t *testing.T) {
+	spec := jobSpec()
 	base := Config{Workers: 2, Seeds: 1, Duration: 50e6}
-	want, err := Run(corpus, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, spec, base)
 
 	disk, err := cache.NewDisk(t.TempDir(), 0)
 	if err != nil {
@@ -109,24 +99,26 @@ func TestRunShardSharedCacheIdentical(t *testing.T) {
 	shared := base
 	shared.Cache = disk
 	for pass, name := range []string{"cold", "warm"} {
-		rows, err := RunShard(context.Background(), corpus, shared, 0, len(corpus.Scenarios))
+		scs, err := scenario.GenerateRange(spec, 0, spec.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := NewJob(corpus, base)
+		rows, err := RunScenarios(context.Background(), scs, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.InstallRows(rows); err != nil {
+		j, err := NewSpecJob(spec, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.InstallShard(rows, scenario.PartialOf(scs)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := j.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canonical(t, got) != canonical(t, want) {
-			t.Fatalf("%s shared-cache report differs from private-store run", name)
-		}
+		matchOracle(t, name+" shared-cache shard", got, want)
 		if ds := disk.Stats(); pass == 1 && ds.Hits == 0 {
 			t.Fatalf("warm pass never hit the shared disk level: %+v", ds)
 		}
@@ -136,9 +128,8 @@ func TestRunShardSharedCacheIdentical(t *testing.T) {
 // TestConfigCacheStaysLocal documents that the shared cache never
 // travels through a checkpoint: a restored job has a nil Cache.
 func TestConfigCacheStaysLocal(t *testing.T) {
-	corpus := jobCorpus(t)
 	cfg := Config{Workers: 1, Seeds: -1, Duration: 50e6, Cache: whatif.NewStore(0)}
-	j, err := NewJob(corpus, cfg)
+	j, err := NewSpecJob(jobSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,52 +13,26 @@ func specJobConfig() Config {
 	return Config{Workers: 2, Seeds: 1, Duration: 50e6}
 }
 
-func renderAll(t *testing.T, r *Report) string {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString(r.Render())
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestSpecJobMatchesCorpusJob: a streamed job run locally produces the
-// identical report to a materialized job — same fingerprint, same
-// rendered bytes.
-func TestSpecJobMatchesCorpusJob(t *testing.T) {
+// TestSpecJobMatchesOracle: a job run locally produces the oracle's
+// report — same fingerprint, same rendered bytes — at any pool size.
+func TestSpecJobMatchesOracle(t *testing.T) {
 	spec := scenario.Spec{Seed: 21, Count: 10}
-	cfg := specJobConfig()
-	corpus, err := scenario.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sj, err := NewSpecJob(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sj.Streamed() || sj.Corpus() != nil {
-		t.Fatal("spec job is not streamed")
-	}
-	got, err := sj.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != corpus.Fingerprint().String() {
-		t.Fatalf("streamed fingerprint %s != corpus %s", got.Fingerprint, corpus.Fingerprint())
-	}
-	if renderAll(t, got) != renderAll(t, want) {
-		t.Fatal("streamed report differs from materialized run")
+	want := oracle(t, spec, specJobConfig())
+	for _, workers := range []int{1, 4} {
+		j, err := NewSpecJob(spec, Config{Workers: workers, Seeds: 1, Duration: 50e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchOracle(t, "spec job", got, want)
 	}
 }
 
-// shardRows computes a shard exactly the way a v2 worker does:
-// generate the slice, run it, fold its partial.
+// shardRows computes a shard exactly the way a worker does: generate
+// the slice, run it, fold its partial.
 func shardRows(t *testing.T, spec scenario.Spec, cfg Config, start, count int) ([]ScenarioResult, scenario.Partial) {
 	t.Helper()
 	scs, err := scenario.GenerateRange(spec, start, count)
@@ -72,20 +46,13 @@ func shardRows(t *testing.T, spec scenario.Spec, cfg Config, start, count int) (
 	return rows, scenario.PartialOf(scs)
 }
 
-// TestSpecJobInstallShards: a streamed job fed entirely by worker-style
-// shards folds the identical report, and duplicate shard installs
-// (retries that lost the race) change nothing.
+// TestSpecJobInstallShards: a job fed entirely by worker-style shards
+// folds the oracle's report, and duplicate shard installs (retries
+// that lost the race) change nothing.
 func TestSpecJobInstallShards(t *testing.T) {
 	spec := scenario.Spec{Seed: 21, Count: 10}
 	cfg := specJobConfig()
-	corpus, err := scenario.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, spec, cfg)
 
 	sj, err := NewSpecJob(spec, cfg)
 	if err != nil {
@@ -105,15 +72,12 @@ func TestSpecJobInstallShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderAll(t, got) != renderAll(t, want) {
-		t.Fatal("shard-fed streamed report differs from materialized run")
-	}
+	matchOracle(t, "shard-fed job", got, want)
 }
 
 // TestInstallShardTamperRejected: a shard whose partial fingerprint
-// does not describe the true corpus slice fails the final fold — on a
-// materialized job (corpus is the reference) and on a streamed job
-// with a pinned expected fingerprint.
+// does not describe the true corpus slice fails the final fold of a
+// job with a pinned expected fingerprint.
 func TestInstallShardTamperRejected(t *testing.T) {
 	spec := scenario.Spec{Seed: 21, Count: 6}
 	cfg := specJobConfig()
@@ -122,37 +86,22 @@ func TestInstallShardTamperRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tamper := func(job *Job) error {
-		t.Helper()
-		ranges := job.PendingRanges(3)
-		for i, r := range ranges {
-			rows, partial := shardRows(t, spec, cfg, r.Start, r.Count)
-			if i == 0 {
-				partial.A++ // a drifted generator or corrupted wire
-			}
-			if err := job.InstallShard(rows, partial); err != nil {
-				return err
-			}
-		}
-		_, err := job.Run(context.Background())
-		return err
-	}
-
-	mj, err := NewJob(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tamper(mj); err == nil || !strings.Contains(err.Error(), "tampered") {
-		t.Fatalf("materialized job accepted tampered shard: %v", err)
-	}
-
 	sj, err := NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sj.SetExpectedFingerprint(corpus.Fingerprint().String())
-	if err := tamper(sj); err == nil || !strings.Contains(err.Error(), "tampered") {
-		t.Fatalf("streamed job accepted tampered shard: %v", err)
+	for i, r := range sj.PendingRanges(3) {
+		rows, partial := shardRows(t, spec, cfg, r.Start, r.Count)
+		if i == 0 {
+			partial.A++ // a drifted generator or corrupted wire
+		}
+		if err := sj.InstallShard(rows, partial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sj.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "tampered") {
+		t.Fatalf("pinned job accepted tampered shard: %v", err)
 	}
 
 	// A partial whose count does not cover its rows is refused at
@@ -168,20 +117,13 @@ func TestInstallShardTamperRejected(t *testing.T) {
 	}
 }
 
-// TestSpecJobCheckpointRestore: a streamed job checkpoints without
-// materializing, restores streamed, and finishes to the identical
-// report.
+// TestSpecJobCheckpointRestore: a job fed shards checkpoints without
+// materializing its corpus, records the corpus fingerprint, restores
+// with its installed rows, and finishes to the oracle's report.
 func TestSpecJobCheckpointRestore(t *testing.T) {
 	spec := scenario.Spec{Seed: 21, Count: 10}
 	cfg := specJobConfig()
-	corpus, err := scenario.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, spec, cfg)
 
 	sj, err := NewSpecJob(spec, cfg)
 	if err != nil {
@@ -195,12 +137,12 @@ func TestSpecJobCheckpointRestore(t *testing.T) {
 	if err := sj.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(buf.String(), `"fingerprint":"`+want.Fingerprint+`"`) {
+		t.Fatal("checkpoint does not record the corpus fingerprint")
+	}
 	restored, err := RestoreJob(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !restored.Streamed() {
-		t.Fatal("restored spec-only checkpoint materialized a corpus")
 	}
 	if done, total := restored.Progress(); done != 4 || total != 10 {
 		t.Fatalf("restored progress %d/%d, want 4/10", done, total)
@@ -209,7 +151,5 @@ func TestSpecJobCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderAll(t, got) != renderAll(t, want) {
-		t.Fatal("restored streamed report differs from materialized run")
-	}
+	matchOracle(t, "restored job", got, want)
 }

@@ -147,12 +147,6 @@ type coordinator struct {
 	stats   Stats
 	statsMu sync.Mutex
 
-	// legacy records workers that answered a v2 request with "want 1":
-	// further shards to them travel as WireVersionLegacy, which needs a
-	// fingerprint-ful reference (a streamed run cannot use them).
-	legacyMu sync.Mutex
-	legacy   map[string]bool
-
 	// fatal records the first unrecoverable failure and cancels the run.
 	fatalMu  sync.Mutex
 	fatalErr error
@@ -165,12 +159,12 @@ type coordinator struct {
 // the final report. The report is byte-identical to a local
 // (*campaign.Job).Run for any worker set, shard size, pipeline depth,
 // or failure schedule: rows are installed by scenario index and the
-// fold is the same serial aggregate. For a streamed job the coordinator
-// ships only (spec, range) per shard and folds the workers' partial
-// fingerprints — the corpus is never materialized on this side. Run
-// fails when a shard exhausts MaxAttempts, when every worker has been
-// dropped with shards still pending, or when ctx is cancelled; the job
-// keeps the rows installed so far, so a later Run — local or
+// fold is the same serial aggregate. The coordinator ships only
+// (spec, range) per shard and folds the workers' partial fingerprints
+// — the corpus is never materialized on this side. Run fails when a
+// shard exhausts MaxAttempts, when every worker has been dropped with
+// shards still pending, or when ctx is cancelled; the job keeps the
+// rows installed so far, so a later Run — local or
 // distributed — resumes from the pending set.
 func Run(ctx context.Context, job *campaign.Job, opts Options) (*campaign.Report, error) {
 	rep, _, err := RunStats(ctx, job, opts)
@@ -190,14 +184,7 @@ func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.R
 		return rep, Stats{}, err
 	}
 	_, rsp := obs.StartSpan(ctx, "corpus.ref")
-	var ref campaign.CorpusRef
-	var err error
-	if job.Streamed() {
-		ref, err = campaign.NewSpecRef(job.Spec())
-	} else {
-		ref, err = campaign.NewCorpusRef(job.Corpus())
-		rsp.SetAttr("fingerprint", ref.Fingerprint)
-	}
+	ref, err := campaign.NewSpecRef(job.Spec())
 	rsp.End()
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("distrib: %w", err)
@@ -212,7 +199,6 @@ func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.R
 		opts:    opts,
 		queue:   make(chan *shardTask, len(shards)),
 		allDone: make(chan struct{}),
-		legacy:  make(map[string]bool),
 		cancel:  cancel,
 	}
 	c.remaining.Store(int64(len(shards)))
@@ -357,13 +343,6 @@ func (c *coordinator) emit(e Event) {
 	c.eventMu.Unlock()
 }
 
-// isLegacy reports whether addr has been downgraded to the v1 wire.
-func (c *coordinator) isLegacy(addr string) bool {
-	c.legacyMu.Lock()
-	defer c.legacyMu.Unlock()
-	return c.legacy[addr]
-}
-
 // countingReader counts bytes as they come off the wire, before any
 // decompression.
 type countingReader struct {
@@ -379,9 +358,9 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // runShard executes one attempt of one shard against one worker under
 // the per-shard deadline, verifies the response is exactly the
-// requested range, and installs the rows (with their partial
-// fingerprint under the v2 wire). It returns the response body size as
-// it travelled. When ctx carries a trace the request travels with
+// requested range, and installs the rows with their partial
+// fingerprint. It returns the response body size as it travelled.
+// When ctx carries a trace the request travels with
 // trace headers and the worker's spans come back in the response,
 // spliced under this attempt's dispatch span.
 func (c *coordinator) runShard(ctx context.Context, addr string, t *shardTask) (wireBytes int64, err error) {
@@ -397,22 +376,11 @@ func (c *coordinator) runShard(ctx context.Context, addr string, t *shardTask) (
 		sp.End()
 	}()
 
-	version := WireVersion
-	if c.isLegacy(addr) {
-		version = WireVersionLegacy
-	}
-	if version == WireVersionLegacy && c.ref.Fingerprint == "" {
-		// Skew rule: the legacy wire resolves the whole corpus by
-		// fingerprint, which a streamed run never computes up front.
-		return 0, fmt.Errorf("worker %s: speaks wire version %d, which cannot serve a streamed (fingerprint-less) corpus",
-			addr, WireVersionLegacy)
-	}
-
 	attemptCtx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 	defer cancel()
 
 	body, err := json.Marshal(ShardRequest{
-		Version: version,
+		Version: WireVersion,
 		Corpus:  c.ref,
 		Start:   t.r.Start,
 		Count:   t.r.Count,
@@ -439,18 +407,6 @@ func (c *coordinator) runShard(ctx context.Context, addr string, t *shardTask) (
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		// An old worker rejects the v2 request with its own expected
-		// version. Remember the downgrade and retry this attempt on the
-		// legacy wire instead of burning a failure.
-		if version == WireVersion && resp.StatusCode == http.StatusBadRequest &&
-			bytes.Contains(msg, []byte("shard wire version")) &&
-			bytes.Contains(msg, []byte(fmt.Sprintf("want %d", WireVersionLegacy))) {
-			c.legacyMu.Lock()
-			c.legacy[addr] = true
-			c.legacyMu.Unlock()
-			sp.SetAttr("downgrade", "v1")
-			return c.runShard(ctx, addr, t)
-		}
 		return 0, fmt.Errorf("worker %s: %s: %s", addr, resp.Status, bytes.TrimSpace(msg))
 	}
 	cr := &countingReader{r: resp.Body}
@@ -467,8 +423,8 @@ func (c *coordinator) runShard(ctx context.Context, addr string, t *shardTask) (
 	if err := json.NewDecoder(payload).Decode(&sr); err != nil {
 		return cr.n, fmt.Errorf("worker %s: response: %w", addr, err)
 	}
-	if sr.Version != version {
-		return cr.n, fmt.Errorf("worker %s: wire version %d, want %d", addr, sr.Version, version)
+	if sr.Version != WireVersion {
+		return cr.n, fmt.Errorf("worker %s: wire version %d, want %d", addr, sr.Version, WireVersion)
 	}
 	if len(sr.Rows) != t.r.Count {
 		return cr.n, fmt.Errorf("worker %s: %d rows for a shard of %d", addr, len(sr.Rows), t.r.Count)
@@ -485,15 +441,11 @@ func (c *coordinator) runShard(ctx context.Context, addr string, t *shardTask) (
 		}
 		rows[i] = row
 	}
-	if sr.Version == WireVersion {
-		partial, perr := scenario.ParsePartial(sr.Partial)
-		if perr != nil {
-			return cr.n, fmt.Errorf("worker %s: %w", addr, perr)
-		}
-		if err := c.job.InstallShard(rows, partial); err != nil {
-			return cr.n, err
-		}
-	} else if err := c.job.InstallRows(rows); err != nil {
+	partial, err := scenario.ParsePartial(sr.Partial)
+	if err != nil {
+		return cr.n, fmt.Errorf("worker %s: %w", addr, err)
+	}
+	if err := c.job.InstallShard(rows, partial); err != nil {
 		return cr.n, err
 	}
 	obs.TraceFrom(ctx).ImportWire(sp.ID(), sr.Spans)

@@ -2,9 +2,12 @@ package distrib
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,13 +16,8 @@ import (
 	"repro/internal/scenario"
 )
 
-func testCorpus(t *testing.T) *scenario.Corpus {
-	t.Helper()
-	corpus, err := scenario.Generate(scenario.Spec{Seed: 11, Count: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return corpus
+func testSpec() scenario.Spec {
+	return scenario.Spec{Seed: 11, Count: 12}
 }
 
 func testConfig() campaign.Config {
@@ -53,15 +51,15 @@ func startWorkers(t *testing.T, n int, cfg WorkerConfig) []string {
 // distributed run equals the local run byte for byte, across shard
 // sizes that do and do not divide the corpus.
 func TestDistribMatchesLocal(t *testing.T) {
-	corpus := testCorpus(t)
+	spec := testSpec()
 	cfg := testConfig()
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	urls := startWorkers(t, 3, WorkerConfig{Workers: 1})
 	for _, shard := range []int{1, 5, 100} {
-		job, err := campaign.NewJob(corpus, cfg)
+		job, err := campaign.NewSpecJob(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,20 +92,39 @@ func (k *killableWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // first completed shard: the survivor absorbs the retried shards and
 // the folded report is still byte-identical to the local run.
 func TestDistribSurvivesWorkerKill(t *testing.T) {
-	corpus := testCorpus(t)
+	spec := testSpec()
 	cfg := testConfig()
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The survivor answers nothing until the killed victim has refused a
+	// shard. Otherwise the survivor could drain the queue while the
+	// victim finishes its last shard, and the victim would never be sent
+	// work after its kill, so it could not be seen to fail.
 	victim := &killableWorker{h: NewWorker(WorkerConfig{Workers: 1}).Handler()}
-	srvVictim := httptest.NewServer(victim)
+	refused := make(chan struct{})
+	var refusedOnce sync.Once
+	srvVictim := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if victim.killed.Load() {
+			refusedOnce.Do(func() { close(refused) })
+		}
+		victim.ServeHTTP(rw, r)
+	}))
 	defer srvVictim.Close()
-	srvSurvivor := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1}).Handler())
+	survivor := NewWorker(WorkerConfig{Workers: 1}).Handler()
+	srvSurvivor := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		select {
+		case <-refused:
+		case <-r.Context().Done():
+			return
+		}
+		survivor.ServeHTTP(rw, r)
+	}))
 	defer srvSurvivor.Close()
 
-	job, err := campaign.NewJob(corpus, cfg)
+	job, err := campaign.NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +162,9 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 // the identical report — distributed execution never strands a
 // campaign.
 func TestDistribExhaustedAttempts(t *testing.T) {
-	corpus := testCorpus(t)
+	spec := testSpec()
 	cfg := testConfig()
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +174,7 @@ func TestDistribExhaustedAttempts(t *testing.T) {
 	}))
 	defer dead.Close()
 
-	job, err := campaign.NewJob(corpus, cfg)
+	job, err := campaign.NewSpecJob(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +198,7 @@ func TestDistribAllWorkersDropped(t *testing.T) {
 		http.Error(rw, "no", http.StatusInternalServerError)
 	}))
 	defer dead.Close()
-	job, err := campaign.NewJob(testCorpus(t), testConfig())
+	job, err := campaign.NewSpecJob(testSpec(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +214,9 @@ func TestDistribAllWorkersDropped(t *testing.T) {
 // by a shared disk level: the rerun is served predominantly from L2
 // and the report stays byte-identical.
 func TestDistribWorkerWarmCache(t *testing.T) {
-	corpus := testCorpus(t)
+	spec := testSpec()
 	cfg := testConfig()
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +227,7 @@ func TestDistribWorkerWarmCache(t *testing.T) {
 	urls := startWorkers(t, 2, WorkerConfig{Workers: 1, Cache: disk})
 
 	run := func() *campaign.Report {
-		job, err := campaign.NewJob(corpus, cfg)
+		job, err := campaign.NewSpecJob(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,20 +253,24 @@ func TestDistribWorkerWarmCache(t *testing.T) {
 }
 
 // TestDistribVersionSkew checks both wire directions refuse a version
-// mismatch.
+// mismatch: the worker answers any version but WireVersion — older or
+// newer — with 400, and the coordinator refuses a skewed response.
 func TestDistribVersionSkew(t *testing.T) {
 	w := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer w.Close()
 
-	// Worker rejects a skewed request.
-	resp, err := http.Post(w.URL+ShardPath, "application/json",
-		strings.NewReader(`{"version":99}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("skewed shard request got %s, want 400", resp.Status)
+	for _, v := range []int{1, 99} {
+		resp, err := http.Post(w.URL+ShardPath, "application/json",
+			strings.NewReader(fmt.Sprintf(`{"version":%d}`, v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf("shard wire version %d, want 2", v)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Fatalf("version %d: got %s %q, want 400 %q", v, resp.Status, msg, want)
+		}
 	}
 
 	// Coordinator rejects a skewed response.
@@ -258,7 +279,7 @@ func TestDistribVersionSkew(t *testing.T) {
 		rw.Write([]byte(`{"version":99,"rows":[]}`))
 	}))
 	defer skewed.Close()
-	job, err := campaign.NewJob(testCorpus(t), testConfig())
+	job, err := campaign.NewSpecJob(testSpec(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,18 +16,18 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestDistribStreamedMatchesLocal is the tentpole identity: a streamed
-// (spec-only) distributed run — the coordinator never materializes the
-// corpus — folds the byte-identical report of a local materialized
-// run, across pipeline depths, with compressed rows on the wire.
+// TestDistribStreamedMatchesLocal: a distributed run — the coordinator
+// never materializes the corpus — folds the byte-identical report of a
+// local run, and the corpus's own fingerprint, across pipeline depths,
+// with compressed rows on the wire.
 func TestDistribStreamedMatchesLocal(t *testing.T) {
-	spec := scenario.Spec{Seed: 11, Count: 12}
+	spec := testSpec()
 	cfg := testConfig()
 	corpus, err := scenario.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestDistribStreamedMatchesLocal(t *testing.T) {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
 		if canonical(t, got) != canonical(t, want) {
-			t.Fatalf("depth %d: streamed distributed report differs from local run", depth)
+			t.Fatalf("depth %d: distributed report differs from local run", depth)
 		}
 		if got.Fingerprint != corpus.Fingerprint().String() {
 			t.Fatalf("depth %d: folded fingerprint %s != corpus %s",
@@ -68,17 +67,12 @@ func TestDistribStreamedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistribStreamedSurvivesWorkerKill: kill-a-worker under the
-// streamed protocol with pipelining on; the report is still
-// byte-identical.
+// TestDistribStreamedSurvivesWorkerKill: kill-a-worker with
+// pipelining on; the report is still byte-identical.
 func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
-	spec := scenario.Spec{Seed: 11, Count: 12}
+	spec := testSpec()
 	cfg := testConfig()
-	corpus, err := scenario.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := campaign.Run(corpus, cfg)
+	want, err := campaign.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,89 +104,54 @@ func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// legacyWorker mimics a pre-v2 worker binary: it only accepts wire
-// version 1 (rejecting anything else with the old error text) and
-// serves shards by materializing the whole referenced corpus.
-func legacyWorker(t *testing.T) http.Handler {
-	t.Helper()
+// tamperingWorker serves shards from a real worker but corrupts the
+// partial fingerprint of the shard that starts at scenario 0, as a
+// drifted generator or a corrupted wire would.
+func tamperingWorker() http.Handler {
+	inner := NewWorker(WorkerConfig{Workers: 1}).Handler()
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		var req ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
+		r.Header.Del("Accept-Encoding")
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var sr ShardResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadGateway)
 			return
 		}
-		if req.Version != WireVersionLegacy {
-			http.Error(rw, fmt.Sprintf("shard wire version %d, want %d", req.Version, WireVersionLegacy),
-				http.StatusBadRequest)
-			return
-		}
-		corpus, err := req.Corpus.Resolve()
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rows, err := campaign.RunShard(r.Context(), corpus, req.Config.Campaign(1), req.Start, req.Count)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		resp := ShardResponse{Version: WireVersionLegacy, Rows: make([]campaign.WireRow, len(rows))}
-		for i := range rows {
-			resp.Rows[i] = campaign.NewWireRow(&rows[i])
+		if len(sr.Rows) > 0 && sr.Rows[0].Index == 0 {
+			p, err := scenario.ParsePartial(sr.Partial)
+			if err != nil {
+				http.Error(rw, err.Error(), http.StatusBadGateway)
+				return
+			}
+			p.A++
+			sr.Partial = p.String()
 		}
 		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(&resp)
+		json.NewEncoder(rw).Encode(&sr)
 	})
 }
 
-// TestDistribLegacyWorkerDowngrade: a v2 coordinator negotiates down
-// to the v1 wire for an old worker when the corpus is materialized
-// (fingerprint known), still folding the identical report; a streamed
-// run refuses that worker with a descriptive skew error.
-func TestDistribLegacyWorkerDowngrade(t *testing.T) {
-	corpus := testCorpus(t)
-	cfg := testConfig()
-	want, err := campaign.Run(corpus, cfg)
+// TestDistribPinnedFingerprintRejectsTamper: a tampered shard fails a
+// distributed run whose job pins the corpus fingerprint, as
+// `symtago campaign -corpus` and checkpoint restores do.
+func TestDistribPinnedFingerprintRejectsTamper(t *testing.T) {
+	spec := testSpec()
+	corpus, err := scenario.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := httptest.NewServer(legacyWorker(t))
-	defer old.Close()
+	w := httptest.NewServer(tamperingWorker())
+	defer w.Close()
 
-	job, err := campaign.NewJob(corpus, cfg)
+	job, err := campaign.NewSpecJob(spec, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), job, Options{
-		Workers: []string{old.URL}, ShardSize: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonical(t, got) != canonical(t, want) {
-		t.Fatal("report via downgraded v1 worker differs from local run")
-	}
-
-	// Streamed corpus, v1-only worker: no fingerprint to resolve by, so
-	// the worker is unusable and the run fails loudly.
-	sj, err := campaign.NewSpecJob(corpus.Spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr atomic.Value
-	_, err = Run(context.Background(), sj, Options{
-		Workers: []string{old.URL}, ShardSize: 4, MaxAttempts: 2, DropAfter: 1,
-		OnEvent: func(e Event) {
-			if e.Type == EventShardFailed {
-				lastErr.Store(e.Err)
-			}
-		},
-	})
-	if err == nil {
-		t.Fatal("streamed run over a v1-only worker succeeded")
-	}
-	if msg, _ := lastErr.Load().(string); !strings.Contains(msg, "streamed") {
-		t.Fatalf("expected streamed-skew failure, got %q", msg)
+	job.SetExpectedFingerprint(corpus.Fingerprint().String())
+	_, err = Run(context.Background(), job, Options{Workers: []string{w.URL}, ShardSize: 4})
+	if err == nil || !strings.Contains(err.Error(), "tampered") {
+		t.Fatalf("pinned distributed run accepted a tampered shard: %v", err)
 	}
 }
 

@@ -9,22 +9,12 @@ import (
 
 // WireVersion guards the shard protocol: a coordinator and worker of
 // different versions refuse each other loudly instead of folding rows
-// computed under drifted semantics.
-//
-// Version 2 is the streamed protocol: the corpus reference may carry
-// no fingerprint, the worker generates only its own shard range
-// (never the whole corpus), and the response carries the additive
-// partial fingerprint of the generated slice for the coordinator's
-// incremental fold. Workers accept both versions; a coordinator that
-// receives "want 1" from an old worker downgrades that worker to the
-// legacy protocol — which requires a known corpus fingerprint, so
-// only materialized-corpus campaigns can use v1 workers.
+// computed under drifted semantics. A request carries the corpus as a
+// spec-only reference plus a range; the worker generates only that
+// range and the response carries the additive partial fingerprint of
+// the generated slice for the coordinator's incremental fold. Workers
+// reject every other version.
 const WireVersion = 2
-
-// WireVersionLegacy is the materialized-corpus protocol: the reference
-// always carries a fingerprint and the worker regenerates (and caches)
-// the entire corpus to serve any shard of it.
-const WireVersionLegacy = 1
 
 // ShardPath is the worker endpoint shards are POSTed to.
 const ShardPath = "/v1/shards"
@@ -68,11 +58,9 @@ func (c ShardConfig) Campaign(workers int) campaign.Config {
 }
 
 // ShardRequest asks a worker to compute rows for the contiguous
-// scenario range [Start, Start+Count) of the referenced corpus. Under
-// version 2 the reference may be spec-only (empty fingerprint) and the
-// worker draws exactly the requested range; under version 1 the
-// fingerprint is mandatory and the worker materializes the whole
-// corpus to slice it.
+// scenario range [Start, Start+Count) of the referenced corpus. The
+// reference is spec-only (empty fingerprint) and the worker draws
+// exactly the requested range.
 type ShardRequest struct {
 	Version int                `json:"version"`
 	Corpus  campaign.CorpusRef `json:"corpus"`
@@ -82,17 +70,15 @@ type ShardRequest struct {
 }
 
 // ShardResponse carries the computed rows, index-aligned with the
-// requested range, in the lossless WireRow encoding. Spans carries the
-// worker-side execution trace when the request arrived with a trace
-// header; it is empty otherwise, so untraced responses are unchanged
-// byte-for-byte. Partial (version 2 responses only) is the
+// requested range, in the lossless WireRow encoding. Partial is the
 // scenario.Partial fold of the slice the worker generated, in its
 // String encoding — the coordinator merges the per-shard partials and
 // verifies the finalized fingerprint instead of regenerating the
-// corpus. Row compression is not part of this struct: bodies travel
-// gzip-encoded when the requester advertises Accept-Encoding: gzip,
-// at the HTTP layer, so old coordinators (whose transport decompresses
-// transparently) interoperate unchanged.
+// corpus. Spans carries the worker-side execution trace when the
+// request arrived with a trace header; it is empty otherwise, so
+// untraced responses are unchanged byte-for-byte. Row compression is
+// not part of this struct: bodies travel gzip-encoded when the
+// requester advertises Accept-Encoding: gzip, at the HTTP layer.
 type ShardResponse struct {
 	Version int                `json:"version"`
 	Rows    []campaign.WireRow `json:"rows"`

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 // WorkerConfig parameterises a shard worker.
@@ -26,54 +25,26 @@ type WorkerConfig struct {
 	// stacked under each scenario's private LRU; see
 	// campaign.Config.Cache for the bit-identity contract.
 	Cache cache.Store
-	// CorpusCache bounds how many regenerated corpora the worker keeps
-	// keyed by fingerprint (default 4). Shards of one campaign all
-	// reference the same corpus, so regeneration is paid once.
-	CorpusCache int
 }
 
-// Worker computes campaign shards on behalf of a coordinator. It is
-// stateless across campaigns apart from three pure caches: regenerated
-// corpora (by fingerprint, the legacy wire), generated slices (by
-// spec + range, the streamed wire) and the optional shared analysis
-// level.
+// Worker computes campaign shards on behalf of a coordinator. Between
+// shards it keeps only its served counters and the optional shared
+// analysis level: each shard's scenarios are generated from the
+// request and dropped with the response.
 type Worker struct {
 	cfg WorkerConfig
-
-	mu      sync.Mutex
-	corpora []corpusEntry
-	slices  []sliceEntry
 
 	shardsServed atomic.Uint64
 	rowsServed   atomic.Uint64
 }
-
-type corpusEntry struct {
-	fingerprint string
-	corpus      *scenario.Corpus
-}
-
-// maxSliceEntries bounds the streamed-range MRU. Slices are scenario
-// specs, not results, so 64 shards' worth is cheap; a retried or
-// re-dispatched shard (same spec, same range) regenerates nothing.
-const maxSliceEntries = 64
 
 // gzipPool recycles response compressors: a gzip.Writer carries its
 // deflate window (~800 KiB) and would otherwise be reallocated per
 // shard response.
 var gzipPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
-type sliceEntry struct {
-	key     string
-	scs     []scenario.Scenario
-	partial scenario.Partial
-}
-
 // NewWorker builds a worker.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.CorpusCache <= 0 {
-		cfg.CorpusCache = 4
-	}
 	return &Worker{cfg: cfg}
 }
 
@@ -121,7 +92,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
 		return
 	}
-	if req.Version != WireVersion && req.Version != WireVersionLegacy {
+	if req.Version != WireVersion {
 		http.Error(rw, fmt.Sprintf("shard wire version %d, want %d", req.Version, WireVersion),
 			http.StatusBadRequest)
 		return
@@ -142,44 +113,19 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	root.SetInt("count", int64(req.Count))
 	root.SetInt("version", int64(req.Version))
 
-	// Version 2 draws only the requested slice — O(count) regardless of
-	// corpus size — and folds its partial fingerprint. Version 1 keeps
-	// the legacy whole-corpus path: regenerate (through the fingerprint-
-	// keyed cache), verify, slice.
-	var rows []campaign.ScenarioResult
-	var partial scenario.Partial
-	var err error
-	if req.Version == WireVersion {
-		_, gsp := obs.StartSpan(ctx, "corpus.range")
-		var scs []scenario.Scenario
-		var cached bool
-		scs, partial, cached, err = w.slice(req.Corpus, req.Start, req.Count)
-		gsp.SetBool("cached", cached)
-		gsp.End()
-		if err != nil {
-			root.End()
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg := req.Config.Campaign(w.cfg.Workers)
-		cfg.Cache = w.cfg.Cache
-		rows, err = campaign.RunScenarios(ctx, scs, cfg)
-	} else {
-		_, csp := obs.StartSpan(ctx, "corpus.resolve")
-		var corpus *scenario.Corpus
-		var cached bool
-		corpus, cached, err = w.corpus(req.Corpus)
-		csp.SetBool("cached", cached)
-		csp.End()
-		if err != nil {
-			root.End()
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg := req.Config.Campaign(w.cfg.Workers)
-		cfg.Cache = w.cfg.Cache
-		rows, err = campaign.RunShard(ctx, corpus, cfg, req.Start, req.Count)
+	// Draw only the requested slice — O(count) regardless of corpus
+	// size — and fold its partial fingerprint.
+	_, gsp := obs.StartSpan(ctx, "corpus.range")
+	scs, partial, err := req.Corpus.ResolveRange(req.Start, req.Count)
+	gsp.End()
+	if err != nil {
+		root.End()
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
 	}
+	cfg := req.Config.Campaign(w.cfg.Workers)
+	cfg.Cache = w.cfg.Cache
+	rows, err := campaign.RunScenarios(ctx, scs, cfg)
 	root.End()
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
@@ -188,12 +134,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	resp := ShardResponse{Version: req.Version, Rows: make([]campaign.WireRow, len(rows))}
+	resp := ShardResponse{Version: WireVersion, Rows: make([]campaign.WireRow, len(rows)), Partial: partial.String()}
 	for i := range rows {
 		resp.Rows[i] = campaign.NewWireRow(&rows[i])
-	}
-	if req.Version == WireVersion {
-		resp.Partial = partial.String()
 	}
 	if wtr != nil {
 		resp.Spans = wtr.WireSpans()
@@ -218,67 +161,4 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.shardsServed.Add(1)
 	w.rowsServed.Add(uint64(len(rows)))
-}
-
-// slice resolves a streamed range through the worker's range-keyed
-// MRU, reporting whether the cache already held it. Entries are shared
-// read-only across shard runs, exactly like the cached corpora.
-func (w *Worker) slice(ref campaign.CorpusRef, start, count int) ([]scenario.Scenario, scenario.Partial, bool, error) {
-	key := fmt.Sprintf("%s\x00%d:%d", ref.Spec, start, count)
-	w.mu.Lock()
-	for i := range w.slices {
-		if w.slices[i].key == key {
-			e := w.slices[i]
-			copy(w.slices[1:i+1], w.slices[:i])
-			w.slices[0] = e
-			w.mu.Unlock()
-			return e.scs, e.partial, true, nil
-		}
-	}
-	w.mu.Unlock()
-
-	// Generate outside the lock: generation is deterministic, so
-	// concurrent duplicates agree and the last one wins harmlessly.
-	scs, partial, err := ref.ResolveRange(start, count)
-	if err != nil {
-		return nil, scenario.Partial{}, false, err
-	}
-	w.mu.Lock()
-	w.slices = append([]sliceEntry{{key, scs, partial}}, w.slices...)
-	if len(w.slices) > maxSliceEntries {
-		w.slices = w.slices[:maxSliceEntries]
-	}
-	w.mu.Unlock()
-	return scs, partial, false, nil
-}
-
-// corpus resolves a corpus reference through the worker's
-// fingerprint-keyed cache, reporting whether the cache already held it.
-func (w *Worker) corpus(ref campaign.CorpusRef) (*scenario.Corpus, bool, error) {
-	w.mu.Lock()
-	for i := range w.corpora {
-		if w.corpora[i].fingerprint == ref.Fingerprint {
-			e := w.corpora[i]
-			// Move to front (most recently used).
-			copy(w.corpora[1:i+1], w.corpora[:i])
-			w.corpora[0] = e
-			w.mu.Unlock()
-			return e.corpus, true, nil
-		}
-	}
-	w.mu.Unlock()
-
-	// Regenerate outside the lock: resolution verifies the fingerprint,
-	// so concurrent duplicates agree and the last one wins harmlessly.
-	corpus, err := ref.Resolve()
-	if err != nil {
-		return nil, false, err
-	}
-	w.mu.Lock()
-	w.corpora = append([]corpusEntry{{ref.Fingerprint, corpus}}, w.corpora...)
-	if len(w.corpora) > w.cfg.CorpusCache {
-		w.corpora = w.corpora[:w.cfg.CorpusCache]
-	}
-	w.mu.Unlock()
-	return corpus, false, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/campaign"
@@ -26,14 +25,15 @@ type CampaignParams struct {
 	Context context.Context
 }
 
-// RunCampaign generates the corpus and drives the sharded campaign
-// engine over it — the population-scale counterpart of the single
+// RunCampaign drives the sharded campaign engine over the corpus the
+// spec describes — the population-scale counterpart of the single
 // case-study experiments: instead of one proprietary-matrix
 // substitute, a whole randomized population of integrations is
-// analysed, cross-validated and perturbed. The generated corpus is
-// returned alongside the report so callers can encode its canonical
-// listing without regenerating it.
-func RunCampaign(p CampaignParams) (*campaign.Report, *scenario.Corpus, error) {
+// analysed, cross-validated and perturbed. Scenarios are generated as
+// they run, never all at once; the defaulted spec is returned
+// alongside the report, so a caller that wants the canonical corpus
+// listing generates exactly the corpus that ran.
+func RunCampaign(p CampaignParams) (*campaign.Report, scenario.Spec, error) {
 	if p.Quick {
 		if p.Spec.Count == 0 {
 			p.Spec.Count = 64
@@ -42,21 +42,17 @@ func RunCampaign(p CampaignParams) (*campaign.Report, *scenario.Corpus, error) {
 			p.Config.Duration = 100 * time.Millisecond
 		}
 	}
-	corpus, err := scenario.Generate(p.Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: %w", err)
-	}
 	ctx := p.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	job, err := campaign.NewJob(corpus, p.Config)
+	job, err := campaign.NewSpecJob(p.Spec, p.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, scenario.Spec{}, err
 	}
 	rep, err := job.Run(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, scenario.Spec{}, err
 	}
-	return rep, corpus, nil
+	return rep, job.Spec(), nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/whatif"
 )
 
@@ -458,18 +457,10 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 		Cache:  s.shared,
 		Flight: s.flight,
 	}
-	var job *campaign.Job
-	if len(s.cfg.WorkerAddrs) > 0 {
-		// Distributed: stream the spec — the coordinator ships (spec,
-		// range) per shard and folds the workers' partial fingerprints,
-		// so the corpus is never materialized on this server.
-		job, err = campaign.NewSpecJob(sp, cfg)
-	} else {
-		var corpus *scenario.Corpus
-		if corpus, err = scenario.Generate(sp); err == nil {
-			job, err = campaign.NewJob(corpus, cfg)
-		}
-	}
+	// The job holds only the spec: scenarios are generated as they run,
+	// locally or per shard range on the workers, so the corpus is never
+	// materialized on this server.
+	job, err := campaign.NewSpecJob(sp, cfg)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return

@@ -657,12 +657,8 @@ func drainPhase(srv *Server, lt *ltRunner, cfg LoadTestConfig) (bool, string) {
 	if err != nil {
 		return false, fmt.Sprintf("reference spec: %v", err)
 	}
-	corpus, err := scenario.Generate(sp)
-	if err != nil {
-		return false, fmt.Sprintf("reference corpus: %v", err)
-	}
 	sc := cfg.serverConfig().withDefaults()
-	ref, err := campaign.Run(corpus, campaign.Config{
+	ref, err := campaign.Run(sp, campaign.Config{
 		Workers: sc.Workers, Seeds: 1, Duration: 50 * time.Millisecond,
 		MaxIterations: sc.MaxIterations,
 	})

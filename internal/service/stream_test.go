@@ -234,11 +234,7 @@ func TestDistributedCampaignOverService(t *testing.T) {
 func TestShardEndpoint(t *testing.T) {
 	_, base := newTestServer(t)
 
-	corpus, err := scenario.Generate(scenario.Spec{Seed: 21, Count: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := campaign.NewCorpusRef(corpus)
+	ref, err := campaign.NewSpecRef(scenario.Spec{Seed: 21, Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
