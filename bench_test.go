@@ -853,28 +853,6 @@ func BenchmarkWhatIfBus(b *testing.B) {
 	})
 }
 
-// BenchmarkWhatIfToleranceTable measures the supplier-requirements
-// search end to end: the shared store lets all bisection probes of all
-// rows reuse each other's untouched prefixes.
-func BenchmarkWhatIfToleranceTable(b *testing.B) {
-	k := experiments.DefaultMatrix()
-	cfg := sensitivity.SweepConfig{Analysis: experiments.WorstCaseAnalysis()}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"Incremental", false}, {"FullClone", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.DisableWhatIf = mode.disable
-				if _, err := sensitivity.ToleranceTable(k, c, 0.1, 1.0, 0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
 // BenchmarkCampaign measures the sharded population study: a
 // 64-scenario corpus through the full pipeline (generation, incremental

@@ -30,8 +30,8 @@
 //	                 [-remote-cache url]
 //	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
 //	                 [-shard-timeout d]
-//	                 [-metrics-window d] [-trace-sample f] [-trace-buffer n]
-//	                 [-flight n] [-pprof-addr host:port]
+//	                 [-trace-sample f] [-trace-buffer n] [-flight n]
+//	                 [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]
 //	symtago worker   [-addr host:port] [-workers n] [-cache-dir dir]
 //	                 [-cache-bytes n] [-remote-cache url]

@@ -38,7 +38,6 @@ func cmdServe(args []string) error {
 	shardSize := fs.Int("shard", 0, "scenarios per distributed shard (0 = 256)")
 	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
-	metricsWindow := fs.Duration("metrics-window", 0, "/v1/metrics history capture period (0 = 1m, negative = off)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of requests traced (0 = default 0.01, negative = off; X-Trace-Id always traces)")
 	traceBuffer := fs.Int("trace-buffer", 0, "traces retained for GET /v1/trace/{id} (0 = 64)")
 	flight := fs.Int("flight", 0, "slowest operations kept by the flight recorder (0 = 32, negative = off)")
@@ -70,7 +69,6 @@ func cmdServe(args []string) error {
 		ShardSize:      *shardSize,
 		PipelineDepth:  *pipelineDepth,
 		ShardTimeout:   *shardTimeout,
-		MetricsWindow:  *metricsWindow,
 		TraceSample:    *traceSample,
 		TraceBuffer:    *traceBuffer,
 		FlightSlowest:  *flight,

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/report"
 	"repro/internal/rta"
 	"repro/internal/whatif"
@@ -55,7 +56,7 @@ func cmdWhatIf(args []string) error {
 	}
 
 	sess := whatif.NewBusSession(k, cfg, whatif.Options{
-		Store:   whatif.NewStore(*cacheSize),
+		Store:   cache.NewLRU(*cacheSize),
 		Workers: *workers,
 	})
 	before, err := sess.Analyze()

@@ -7,8 +7,8 @@
 // configurations.
 //
 // Three implementations compose into a two-level hierarchy: LRU is the
-// in-process cost-weighted level (the former whatif.Store), Disk is a
-// shared on-disk level holding crc-checked versioned binary records in
+// in-process cost-weighted level every what-if session memoizes into,
+// Disk is a shared on-disk level holding crc-checked versioned binary records in
 // sharded content-addressed directories, and Tiered stacks one over
 // the other with promotion on second-level hits and write-through on
 // Put. Eviction, corruption and version skew never affect correctness:

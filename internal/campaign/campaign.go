@@ -173,7 +173,7 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	root.SetInt("buses", int64(row.Buses))
 	root.SetInt("messages", int64(row.Messages))
 
-	var store cache.Store = whatif.NewStore(cfg.StoreCapacity)
+	var store cache.Store = cache.NewLRU(cfg.StoreCapacity)
 	if cfg.Cache != nil {
 		store = cache.NewTiered(store, cfg.Cache)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -85,6 +86,36 @@ func TestCampaignCrossValidation(t *testing.T) {
 		}
 		if row.CacheHits+row.CacheMisses == 0 {
 			t.Fatalf("row %d: what-if session did no work", i)
+		}
+	}
+}
+
+// TestCampaignBatchGatewayScenarios pins the seed-1 scenarios whose
+// paths cross a per-message-buffer gateway with Batch 2: the simulator
+// must forward up to Batch occupied buffers per activation, as the
+// gateway analysis assumes, so no path exceeds its bound. They come
+// from `symtago campaign -n 600 -seed 1` and run at the default config.
+func TestCampaignBatchGatewayScenarios(t *testing.T) {
+	spec := scenario.Spec{Seed: 1, Count: 600}
+	var scs []scenario.Scenario
+	for _, index := range []int{536, 571, 578} {
+		sc, err := scenario.GenerateOne(spec, index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, *sc)
+	}
+	rows, err := RunScenarios(context.Background(), scs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if row.SimRuns == 0 {
+			t.Fatalf("scenario %d: simulation did not run", row.Index)
+		}
+		if row.Violations != 0 {
+			t.Errorf("scenario %d: %d observations exceeded their bounds (min path margin %.1f%%)",
+				row.Index, row.Violations, row.MinMarginPct)
 		}
 	}
 }

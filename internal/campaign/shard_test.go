@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/scenario"
-	"repro/internal/whatif"
 )
 
 // TestRunShardFoldsIdentical rebuilds a campaign from shards the way a
@@ -128,7 +127,7 @@ func TestRunScenariosSharedCacheIdentical(t *testing.T) {
 // TestConfigCacheStaysLocal documents that the shared cache never
 // travels through a checkpoint: a restored job has a nil Cache.
 func TestConfigCacheStaysLocal(t *testing.T) {
-	cfg := Config{Workers: 1, Seeds: -1, Duration: 50e6, Cache: whatif.NewStore(0)}
+	cfg := Config{Workers: 1, Seeds: -1, Duration: 50e6, Cache: cache.NewLRU(0)}
 	j, err := NewSpecJob(jobSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)

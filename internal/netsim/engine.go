@@ -866,9 +866,13 @@ func (e *engine) service(gi int32, t time.Duration) {
 	if g.spec.Policy == gateway.PerMessageBuffer {
 		// Round-robin over the buffers, resuming after the last slot
 		// forwarded: a fixed scan order would let a busy low-index flow
-		// starve the others past the analytic delay bound.
+		// starve the others past the analytic delay bound. The scan
+		// starts from a fixed position; advancing it mid-scan would skip
+		// a buffer after every forward, so an activation would forward
+		// fewer than Batch occupied buffers.
+		start := g.nextSlot
 		for i := 0; i < len(g.slots) && n > 0; i++ {
-			pos := (g.nextSlot + i) % len(g.slots)
+			pos := (start + i) % len(g.slots)
 			sl := &g.slots[pos]
 			if !sl.occupied {
 				continue

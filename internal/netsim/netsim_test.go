@@ -335,3 +335,44 @@ func TestPerMessageBufferServiceIsFair(t *testing.T) {
 		t.Errorf("unbalanced forwarding: B1 %d vs B2 %d", b1, b2)
 	}
 }
+
+func TestPerMessageBufferBatchForwardsEveryOccupiedBuffer(t *testing.T) {
+	// Both buffers fill once per service period and the batch covers
+	// both, so every activation must forward two instances and no
+	// instance may be overwritten before its turn — the gateway
+	// contract gateway.Analyze assumes.
+	topo := &Topology{
+		Buses: []BusSpec{
+			{
+				Name: "src", Bus: can.Bus{BitRate: can.Rate500k},
+				Messages: []sim.MessageSpec{
+					msg("A1", 0x100, 8, eventmodel.Periodic(2*ms)),
+					msg("A2", 0x101, 8, eventmodel.Periodic(2*ms)),
+				},
+			},
+			{
+				Name: "dst", Bus: can.Bus{BitRate: can.Rate500k},
+				Messages: []sim.MessageSpec{
+					msg("B1", 0x110, 8, eventmodel.Periodic(2*ms)),
+					msg("B2", 0x111, 8, eventmodel.Periodic(2*ms)),
+				},
+			},
+		},
+		Gateways: []GatewaySpec{
+			{Name: "gw", Service: eventmodel.Periodic(2 * ms), Policy: gateway.PerMessageBuffer, Batch: 2},
+		},
+		Routes: []Route{
+			{Gateway: "gw", From: Ref{"src", "A1"}, To: Ref{"dst", "B1"}},
+			{Gateway: "gw", From: Ref{"src", "A2"}, To: Ref{"dst", "B2"}},
+		},
+	}
+	res, err := Run(topo, Config{Duration: time.Second, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := res.Gateway("gw")
+	if g.Forwarded != 2*g.Activations || g.OverwriteLosses != 0 {
+		t.Fatalf("%d activations forwarded %d of %d arrivals with %d overwrite losses; want %d forwarded, 0 lost",
+			g.Activations, g.Forwarded, g.Arrivals, g.OverwriteLosses, 2*g.Activations)
+	}
+}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/can"
 	"repro/internal/kmatrix"
 	"repro/internal/parallel"
 	"repro/internal/rta"
-	"repro/internal/whatif"
 )
 
 // Assignment maps message names to CAN identifiers. Only assignments
@@ -119,7 +119,7 @@ func Audsley(k *kmatrix.KMatrix, cfg rta.Config) (a Assignment, feasible bool, e
 	if n >= 0x100 {
 		return nil, false, fmt.Errorf("optimize: Audsley supports at most %d messages, got %d", 0x100-1, n)
 	}
-	cache := whatif.NewStore(0)
+	store := cache.NewLRU(0)
 	workers := parallel.Workers(0)
 	unassigned := identityOrder(n)
 	order := make([]int, n) // order[rank] = message index
@@ -136,7 +136,7 @@ func Audsley(k *kmatrix.KMatrix, cfg rta.Config) (a Assignment, feasible bool, e
 			oks := make([]bool, len(chunk))
 			aerrs := make([]error, len(chunk))
 			parallel.For(len(chunk), workers, func(_, ci int) {
-				oks[ci], aerrs[ci] = schedulableAtLevel(k, cfg, unassigned, below, chunk[ci], cache)
+				oks[ci], aerrs[ci] = schedulableAtLevel(k, cfg, unassigned, below, chunk[ci], store)
 			})
 			if aerr := parallel.FirstError(aerrs); aerr != nil {
 				return nil, false, aerr
@@ -168,7 +168,7 @@ func Audsley(k *kmatrix.KMatrix, cfg rta.Config) (a Assignment, feasible bool, e
 // Audsley's optimality argument applies because the candidate's response
 // time depends only on which messages are above and below, not on their
 // relative order.
-func schedulableAtLevel(k *kmatrix.KMatrix, cfg rta.Config, unassigned, below []int, cand int, cache rta.ResultCache) (bool, error) {
+func schedulableAtLevel(k *kmatrix.KMatrix, cfg rta.Config, unassigned, below []int, cand int, store rta.ResultCache) (bool, error) {
 	trial := make([]rta.Message, 0, len(unassigned)+len(below))
 	for i, idx := range unassigned {
 		m := k.Messages[idx].ToRTA()
@@ -184,7 +184,7 @@ func schedulableAtLevel(k *kmatrix.KMatrix, cfg rta.Config, unassigned, below []
 		m.Frame.ID = can.ID(0x200 + i) // below the candidate
 		trial = append(trial, m)
 	}
-	rep, err := rta.AnalyzeCached(trial, cfg, cache, 1)
+	rep, err := rta.AnalyzeCached(trial, cfg, store, 1)
 	if err != nil {
 		return false, err
 	}

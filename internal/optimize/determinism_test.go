@@ -9,32 +9,31 @@ import (
 	"repro/internal/rta"
 )
 
-// TestRunWhatIfEquivalence pins the satellite contract: the GA with
-// incremental what-if sessions reproduces the clone-based run bit for
-// bit (same seeded trajectory, same front, same best candidate).
-func TestRunWhatIfEquivalence(t *testing.T) {
+// TestRunWorkerInvariance pins the promise of Config.Workers: the
+// seeded search is identical for every worker count (same trajectory,
+// same front, same best candidate).
+func TestRunWorkerInvariance(t *testing.T) {
 	k := kmatrix.Powertrain(kmatrix.GenConfig{Seed: 5, Messages: 16})
-	base := Config{
+	cfg := Config{
 		Seed:        42,
 		Population:  12,
 		Archive:     6,
 		Generations: 6,
 		EvalScales:  []float64{0, 0.25},
 		Analysis:    rta.Config{Stuffing: can.StuffingWorstCase},
-		Workers:     2,
+		Workers:     1,
 	}
-	fast, err := Run(k, base)
+	serial, err := Run(k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := base
-	slow.DisableWhatIf = true
-	want, err := Run(k, slow)
+	cfg.Workers = 4
+	fanned, err := Run(k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fast, want) {
-		t.Fatal("whatif-backed GA run differs from clone-based run")
+	if !reflect.DeepEqual(serial, fanned) {
+		t.Fatal("GA run at 4 workers differs from the serial run")
 	}
 }
 

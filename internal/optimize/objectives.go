@@ -7,7 +7,6 @@ import (
 	"repro/internal/kmatrix"
 	"repro/internal/parallel"
 	"repro/internal/rta"
-	"repro/internal/whatif"
 )
 
 // Objectives is the two-dimensional fitness of a priority assignment.
@@ -57,72 +56,30 @@ type evaluator struct {
 	robustScale float64
 	// onlyUnknown mirrors SweepConfig.OnlyUnknown.
 	onlyUnknown bool
-	// pool hands out per-worker incremental what-if sessions sharing
-	// one content-addressed store: candidates that agree on a
-	// high-priority prefix (common as the population converges) share
-	// the converged results of that prefix instead of re-deriving them
-	// per clone. Nil when the incremental engine is disabled —
-	// evaluation then clones the matrix per candidate (Apply +
-	// WithJitterScale).
-	pool *whatif.SessionPool
-}
-
-// enableWhatIf arms the evaluator with per-worker sessions.
-func (e *evaluator) enableWhatIf(workers int) {
-	e.pool = whatif.NewSessionPool(e.k, e.cfg, nil, workers)
-}
-
-// session returns worker w's lazily created session, or nil when the
-// incremental engine is disabled.
-func (e *evaluator) session(worker int) *whatif.BusSession {
-	if e.pool == nil {
-		return nil
-	}
-	return e.pool.Session(worker)
 }
 
 // evalAll scores a set of individuals on a worker pool. Every
-// evaluation reads only the shared matrix and configuration, and the
-// shared store is content-addressed, so the fan-out is free of
-// order-dependent state and the scores are independent of the worker
-// count.
+// evaluation reads only the shared matrix and configuration, so the
+// fan-out is free of order-dependent state and the scores are
+// independent of the worker count.
 func (e *evaluator) evalAll(inds []*individual, workers int) error {
 	errs := make([]error, len(inds))
-	parallel.For(len(inds), workers, func(worker, i int) {
-		inds[i].obj, errs[i] = e.evalAssignmentOn(worker, fromOrder(e.k, inds[i].order))
+	parallel.For(len(inds), workers, func(_, i int) {
+		inds[i].obj, errs[i] = e.evalAssignment(fromOrder(e.k, inds[i].order))
 	})
 	return parallel.FirstError(errs)
 }
 
-// evalAssignment scores an arbitrary assignment on worker 0's session.
+// evalAssignment scores an assignment by analysing a clone of the
+// matrix under it at every scale. Incremental sessions ran no faster
+// here and allocated more (BenchmarkAblationOptimizers/spea2; DESIGN.md,
+// "Consumers").
 func (e *evaluator) evalAssignment(a Assignment) (Objectives, error) {
-	return e.evalAssignmentOn(0, a)
-}
-
-// evalAssignmentOn scores an assignment, reusing worker w's session.
-func (e *evaluator) evalAssignmentOn(worker int, a Assignment) (Objectives, error) {
-	sess := e.session(worker)
-	var applied *kmatrix.KMatrix
-	if sess == nil {
-		applied = Apply(e.k, a)
-	}
-	analyze := func(scale float64) (*rta.Report, error) {
-		if sess == nil {
-			return e.analyzeAt(applied, scale)
-		}
-		sess.Reset()
-		if err := sess.Apply(
-			whatif.AssignIDs{IDs: a},
-			whatif.ScaleJitter{Scale: scale, OnlyUnknown: e.onlyUnknown},
-		); err != nil {
-			return nil, err
-		}
-		return sess.Analyze()
-	}
+	applied := Apply(e.k, a)
 	var obj Objectives
 	robustDone := false
 	for _, scale := range e.scales {
-		rep, err := analyze(scale)
+		rep, err := e.analyzeAt(applied, scale)
 		if err != nil {
 			return obj, err
 		}
@@ -133,7 +90,7 @@ func (e *evaluator) evalAssignmentOn(worker int, a Assignment) (Objectives, erro
 		}
 	}
 	if !robustDone {
-		rep, err := analyze(e.robustScale)
+		rep, err := e.analyzeAt(applied, e.robustScale)
 		if err != nil {
 			return obj, err
 		}

@@ -58,11 +58,6 @@ type Config struct {
 	// fixed seed regardless of the worker count: all randomness is drawn
 	// serially, only the (pure) objective evaluations are fanned out.
 	Workers int
-	// DisableWhatIf bypasses the incremental what-if sessions and
-	// evaluates every candidate from a full clone of the matrix (the
-	// pre-whatif behaviour). Objectives — and with them the whole
-	// seeded search trajectory — are bit-identical either way.
-	DisableWhatIf bool
 }
 
 func (c Config) withDefaults() Config {
@@ -147,9 +142,6 @@ func Run(k *kmatrix.KMatrix, cfg Config) (*Result, error) {
 		scales:      cfg.EvalScales,
 		robustScale: cfg.RobustnessScale,
 		onlyUnknown: cfg.OnlyUnknown,
-	}
-	if !cfg.DisableWhatIf {
-		ev.enableWhatIf(cfg.Workers)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(k.Messages)

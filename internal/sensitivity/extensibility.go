@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/can"
 	"repro/internal/kmatrix"
-	"repro/internal/rta"
 	"repro/internal/whatif"
 )
 
@@ -27,9 +26,6 @@ func Extensibility(k *kmatrix.KMatrix, template kmatrix.Message, cfg SweepConfig
 	if max < 1 {
 		return 0, fmt.Errorf("sensitivity: max %d must be positive", max)
 	}
-	analysis := cfg.Analysis
-	analysis.Bus = k.Bus()
-
 	// Place additions above every existing identifier.
 	var base can.ID
 	for _, m := range k.Messages {
@@ -53,40 +49,26 @@ func Extensibility(k *kmatrix.KMatrix, template kmatrix.Message, cfg SweepConfig
 		add.Jitter = scaleDuration(operatingScale, add.Period)
 		return add
 	}
-	var okWith func(n int) (bool, error)
-	if cfg.DisableWhatIf {
-		okWith = func(n int) (bool, error) {
-			trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
-			for i := 0; i < n; i++ {
-				trial.Messages = append(trial.Messages, addition(i))
-			}
-			rep, err := rta.Analyze(trial.ToRTA(), analysis)
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+	// The additions rank below every existing priority, so each
+	// bisection probe re-analyses only the additions themselves; the
+	// existing matrix at the operating point is shared across probes
+	// through the session's private store.
+	sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Workers: 1})
+	okWith := func(n int) (bool, error) {
+		sess.Reset()
+		changes := make([]whatif.Change, 0, n+1)
+		changes = append(changes, whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown})
+		for i := 0; i < n; i++ {
+			changes = append(changes, whatif.AddMessage{Row: addition(i)})
 		}
-	} else {
-		// The additions sit below every existing identifier, so each
-		// bisection probe re-analyses only the additions themselves; the
-		// existing matrix at the operating point is shared across probes.
-		sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
-		okWith = func(n int) (bool, error) {
-			sess.Reset()
-			changes := make([]whatif.Change, 0, n+1)
-			changes = append(changes, whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown})
-			for i := 0; i < n; i++ {
-				changes = append(changes, whatif.AddMessage{Row: addition(i)})
-			}
-			if err := sess.Apply(changes...); err != nil {
-				return false, err
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+		if err := sess.Apply(changes...); err != nil {
+			return false, err
 		}
+		rep, err := sess.Analyze()
+		if err != nil {
+			return false, err
+		}
+		return rep.AllSchedulable(), nil
 	}
 
 	ok0, err := okWith(0)

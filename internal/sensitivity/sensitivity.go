@@ -5,11 +5,9 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/kmatrix"
 	"repro/internal/parallel"
 	"repro/internal/rta"
-	"repro/internal/whatif"
 )
 
 // DefaultScales is the paper's sweep grid: 0% to 60% of the message
@@ -37,17 +35,6 @@ type SweepConfig struct {
 	// tolerance/extensibility searches). Zero or negative selects
 	// GOMAXPROCS. Results are identical for every worker count.
 	Workers int
-	// Cache is the content-addressed store backing the incremental
-	// what-if sessions; nil gives every search a private store. Pass a
-	// shared store to let related searches (sweep plus tolerance table,
-	// repeated sweeps over variants of one matrix) share converged
-	// per-message results — a cache.Tiered store extends the sharing
-	// across processes.
-	Cache cache.Store
-	// DisableWhatIf bypasses the incremental engine: every variant is a
-	// fresh clone put through a full analysis (the pre-whatif
-	// behaviour). Results are bit-identical either way.
-	DisableWhatIf bool
 }
 
 func (c SweepConfig) scales() []float64 {
@@ -150,11 +137,12 @@ func (r *Result) CurveByName(name string) *Curve {
 }
 
 // Sweep runs the jitter sweep over the matrix. The scales are analysed
-// concurrently on a worker pool (cfg.Workers): each scale is one
-// ChangeSet applied to a per-worker what-if session (falling back to an
-// independently scaled full clone under DisableWhatIf), and the result
-// is assembled in scale order afterwards, so the outcome is identical
-// to the serial sweep.
+// concurrently on a worker pool (cfg.Workers): each scale is an
+// independently scaled clone put through a full analysis, and the
+// result is assembled in scale order afterwards, so the outcome is
+// identical to the serial sweep. Scaling every jitter changes every
+// per-message memo key, so an incremental session would find nothing
+// to reuse (DESIGN.md, "Consumers").
 func Sweep(k *kmatrix.KMatrix, cfg SweepConfig) (*Result, error) {
 	scales := cfg.scales()
 	res := &Result{Scales: scales, Reports: make([]*rta.Report, len(scales))}
@@ -163,33 +151,15 @@ func Sweep(k *kmatrix.KMatrix, cfg SweepConfig) (*Result, error) {
 	analysis.Bus = k.Bus()
 
 	errs := make([]error, len(scales))
-	if cfg.DisableWhatIf {
-		parallel.For(len(scales), cfg.Workers, func(_, si int) {
-			scaled := k.WithJitterScale(scales[si], cfg.OnlyUnknown)
-			rep, err := rta.Analyze(scaled.ToRTA(), analysis)
-			if err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			res.Reports[si] = rep
-		})
-	} else {
-		pool := whatif.NewSessionPool(k, cfg.Analysis, cfg.Cache, cfg.Workers)
-		parallel.For(len(scales), cfg.Workers, func(worker, si int) {
-			sess := pool.Session(worker)
-			sess.Reset()
-			if err := sess.Apply(whatif.ScaleJitter{Scale: scales[si], OnlyUnknown: cfg.OnlyUnknown}); err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			res.Reports[si] = rep
-		})
-	}
+	parallel.For(len(scales), cfg.Workers, func(_, si int) {
+		scaled := k.WithJitterScale(scales[si], cfg.OnlyUnknown)
+		rep, err := rta.Analyze(scaled.ToRTA(), analysis)
+		if err != nil {
+			errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
+			return
+		}
+		res.Reports[si] = rep
+	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}

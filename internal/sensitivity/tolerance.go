@@ -7,7 +7,6 @@ import (
 	"repro/internal/kmatrix"
 	"repro/internal/parallel"
 	"repro/internal/rta"
-	"repro/internal/whatif"
 )
 
 // MessageJitterTolerance searches the largest jitter — as a fraction of
@@ -24,46 +23,25 @@ import (
 func MessageJitterTolerance(k *kmatrix.KMatrix, message string, cfg SweepConfig,
 	operatingScale, hi, eps float64) (float64, error) {
 
-	target := k.ByName(message)
-	if target == nil {
+	if k.ByName(message) == nil {
 		return 0, fmt.Errorf("sensitivity: unknown message %q", message)
 	}
 	analysis := cfg.Analysis
 	analysis.Bus = k.Bus()
 
-	// The bisection probes a single-message jitter edit over and over:
-	// the incremental session re-analyses only the edited message and
-	// the priorities below it, and shares the untouched prefix across
-	// probes (and, with cfg.Cache, across table rows).
-	var okAt func(scale float64) (bool, error)
-	if cfg.DisableWhatIf {
-		okAt = func(scale float64) (bool, error) {
-			trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
-			m := trial.ByName(message)
-			m.Jitter = scaleDuration(scale, m.Period)
-			rep, err := rta.Analyze(trial.ToRTA(), analysis)
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+	// Each probe analyses a fresh clone. An incremental session reuses
+	// only the prefix above the probed message, and measured on
+	// BenchmarkToleranceTable it was slower and allocated more than the
+	// clone (DESIGN.md, "Consumers").
+	okAt := func(scale float64) (bool, error) {
+		trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
+		m := trial.ByName(message)
+		m.Jitter = scaleDuration(scale, m.Period)
+		rep, err := rta.Analyze(trial.ToRTA(), analysis)
+		if err != nil {
+			return false, err
 		}
-	} else {
-		sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
-		period := target.Period
-		okAt = func(scale float64) (bool, error) {
-			sess.Reset()
-			if err := sess.Apply(
-				whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown},
-				whatif.SetJitter{Message: message, Jitter: scaleDuration(scale, period)},
-			); err != nil {
-				return false, err
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
-		}
+		return rep.AllSchedulable(), nil
 	}
 
 	ok0, err := okAt(0)
@@ -108,13 +86,9 @@ type Tolerance struct {
 // ToleranceTable computes the jitter tolerance of every message at the
 // operating scale, sorted from most critical (lowest tolerance) to most
 // relaxed. The per-message bisections are independent and run on a
-// worker pool (cfg.Workers); unless disabled, all rows share one
-// content-addressed store, so the common operating-point prefix is
-// analysed once for the whole table.
+// worker pool (cfg.Workers); the table is identical for every worker
+// count.
 func ToleranceTable(k *kmatrix.KMatrix, cfg SweepConfig, operatingScale, hi, eps float64) ([]Tolerance, error) {
-	if !cfg.DisableWhatIf && cfg.Cache == nil {
-		cfg.Cache = whatif.NewStore(0)
-	}
 	out := make([]Tolerance, len(k.Messages))
 	errs := make([]error, len(k.Messages))
 	parallel.For(len(k.Messages), cfg.Workers, func(_, i int) {

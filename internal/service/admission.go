@@ -47,8 +47,8 @@ type admission struct {
 	queued  int
 	buckets map[string]*bucket
 	// counters accumulate per-tenant admission outcomes for the
-	// /v1/metrics history ring. Unlike buckets they are kept even when
-	// rate limiting is disabled.
+	// symtago_tenant_* families on /metrics. Unlike buckets they are
+	// kept even when rate limiting is disabled.
 	counters map[string]*tenantCounter
 	now      func() time.Time // injectable for tests
 
@@ -168,7 +168,7 @@ func (a *admission) release() {
 	<-a.slots
 }
 
-// snapshot reports the queue state for /v1/metrics.
+// snapshot reports the queue state for /metrics.
 func (a *admission) snapshot() (queued int, executing int, tenants int) {
 	a.mu.Lock()
 	queued = a.queued

@@ -21,7 +21,7 @@
 //	POST   /v1/campaigns/{id}/resume   continue a cancelled job from its pending set
 //	DELETE /v1/campaigns/{id}          drop a finished job from the table
 //	GET    /v1/healthz                 liveness
-//	GET    /v1/metrics                 request counts, latency histograms, what-if hit rates
+//	GET    /metrics                    Prometheus text: request counts, latency histograms, cache and session counters
 //
 // Uploads use the scenario corpus spec (scenario.ParseSpec) as the
 // system wire format and the what-if system change script

@@ -20,66 +20,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	store := s.store.Stats()
-	reg := s.reg.Stats()
-	hits := reg.Sessions.Hits + reg.Sessions.ReportHits
-	rate := 0.0
-	if total := hits + reg.Sessions.Misses; total > 0 {
-		rate = 100 * float64(hits) / float64(total)
-	}
-	queued, executing, tenants := s.adm.snapshot()
-	resp := MetricsResponse{
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		BucketLabels:  LatencyBucketLabels,
-		Requests:      s.metrics.snapshot(),
-		Admission: AdmissionMetrics{
-			Queued: queued, Executing: executing, Tenants: tenants,
-			MaxClients: s.cfg.MaxClients, QueueDepth: s.cfg.QueueDepth,
-			Draining: s.adm.draining.Load(),
-		},
-		WhatIf: WhatIfMetrics{
-			StoreEntries:   store.Entries,
-			StoreHits:      store.Hits,
-			StoreMisses:    store.Misses,
-			StoreEvictions: store.Evictions,
-			SessionHits:    hits,
-			SessionMisses:  reg.Sessions.Misses,
-			SessionHitRate: rate,
-		},
-		Sessions: SessionsMetrics{
-			Active: reg.Active, Tenants: reg.Tenants,
-			Created: reg.Created, Evicted: reg.Evicted, QuotaEvicted: reg.QuotaEvicted,
-		},
-	}
-	s.jobsMu.Lock()
-	resp.Campaigns.Jobs = len(s.jobs)
-	for _, cj := range s.jobs {
-		switch cj.stateNow() {
-		case "running":
-			resp.Campaigns.Running++
-		case "done":
-			resp.Campaigns.Done++
-		case "failed":
-			resp.Campaigns.Failed++
-		case "cancelled":
-			resp.Campaigns.Cancelled++
-		}
-	}
-	s.jobsMu.Unlock()
-	if s.l2 != nil {
-		ds := s.l2.Stats()
-		resp.Cache = &CacheMetrics{
-			Entries: ds.Entries, Bytes: ds.Bytes, MaxBytes: ds.MaxBytes,
-			Hits: ds.Hits, Misses: ds.Misses, Evictions: ds.Evictions,
-			Corrupt: ds.Corrupt, Skipped: ds.Skipped,
-		}
-	}
-	s.history.observe(time.Now(), s.adm.snapshotTenants())
-	resp.History = s.history.snapshot()
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleAnalyze runs the one-shot compositional analysis of an
 // uploaded spec. Repeated uploads of the same system are served from
 // the shared memo store.

@@ -94,8 +94,8 @@ type LoadTestResult struct {
 	FirstMismatch string
 	// Routes holds the per-route latency distributions.
 	Routes []RouteLatency
-	// HitRatePct is the aggregate what-if session hit rate reported by
-	// /v1/metrics after the storm.
+	// HitRatePct is the aggregate what-if session hit rate after the
+	// storm, from the symtago_session_cache_* counters on /metrics.
 	HitRatePct float64
 	// DrainOK reports the drain/restore phase: a campaign interrupted
 	// by a drain resumed on a fresh server with a bit-identical report.
@@ -559,15 +559,21 @@ func LoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 	}
 
 	// The reported hit rate aggregates every live session.
-	data, err := lt.do("GET /v1/metrics", "GET", "/v1/metrics", "", "", http.StatusOK)
+	data, err := lt.do("GET /metrics", "GET", "/metrics", "", "", http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("metrics response: %w", err)
+	hits, err := promSample(data, "symtago_session_cache_hits_total")
+	if err != nil {
+		return nil, err
 	}
-	res.HitRatePct = m.WhatIf.SessionHitRate
+	misses, err := promSample(data, "symtago_session_cache_misses_total")
+	if err != nil {
+		return nil, err
+	}
+	if total := hits + misses; total > 0 {
+		res.HitRatePct = 100 * hits / total
+	}
 
 	// Phase 3: drain/restore — interrupt a live campaign with the
 	// SIGTERM protocol and prove the resumed report is bit-identical.
@@ -588,6 +594,17 @@ func LoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 		return res, firstErr
 	}
 	return res, nil
+}
+
+// promSample returns the value of one series, named with its labels
+// exactly as exposed, from a Prometheus text body.
+func promSample(body []byte, series string) (float64, error) {
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return strconv.ParseFloat(v, 64)
+		}
+	}
+	return 0, fmt.Errorf("metrics: no sample for %s", series)
 }
 
 // drainCampaignSpec is the corpus the drain phase interrupts: big

@@ -10,28 +10,14 @@ import (
 
 // latencyBucketBounds are the upper bounds of the request latency
 // histogram; the final bucket is unbounded.
-var latencyBucketBounds = []time.Duration{
+var latencyBucketBounds = [...]time.Duration{
 	time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
 	time.Second, 10 * time.Second,
 }
 
 // numLatencyBuckets sizes the per-route bucket array: one bucket per
-// bound plus the unbounded tail. TestLatencyBucketLabels pins it to
-// len(latencyBucketBounds)+1.
-const numLatencyBuckets = 6
-
-// LatencyBucketLabels label the histogram buckets in /v1/metrics.
-// They are derived from latencyBucketBounds so the two cannot drift.
-var LatencyBucketLabels = makeLatencyBucketLabels(latencyBucketBounds)
-
-func makeLatencyBucketLabels(bounds []time.Duration) []string {
-	out := make([]string, len(bounds)+1)
-	for i, b := range bounds {
-		out[i] = "<" + b.String()
-	}
-	out[len(bounds)] = ">=" + bounds[len(bounds)-1].String()
-	return out
-}
+// bound plus the unbounded tail.
+const numLatencyBuckets = len(latencyBucketBounds) + 1
 
 // routeMetrics accumulates one route's counters. All fields are
 // atomics: the observe path is lock-free once the route is registered.
@@ -115,16 +101,15 @@ func (rm *routeMetrics) observe(status int, elapsed time.Duration) {
 	}
 }
 
-// RouteMetrics is the wire form of one route's counters. DurNanos
-// feeds the Prometheus histogram _sum and stays out of the JSON body.
+// RouteMetrics is a snapshot of one route's counters.
 type RouteMetrics struct {
-	Route    string   `json:"route"`
-	Count    uint64   `json:"count"`
-	Errors   uint64   `json:"errors"`
-	Shed     uint64   `json:"shed"`
-	Timeouts uint64   `json:"timeouts"`
-	Buckets  []uint64 `json:"latency_buckets"`
-	DurNanos uint64   `json:"-"`
+	Route    string
+	Count    uint64
+	Errors   uint64
+	Shed     uint64
+	Timeouts uint64
+	Buckets  []uint64
+	DurNanos uint64 // summed elapsed time (Prometheus _sum)
 }
 
 // snapshot returns the per-route counters sorted by route.
@@ -164,151 +149,4 @@ func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// metricsHistory is the lazily captured ring of per-tenant admission
-// windows behind /v1/metrics: whenever a metrics scrape finds the
-// current window elapsed, the per-tenant request/shed deltas since the
-// previous capture are folded into one window and appended. A scrape
-// gap longer than the window collapses into a single (longer) window —
-// the ring records what happened between observations, it does not
-// pretend to a scheduler it does not have.
-type metricsHistory struct {
-	window time.Duration
-	limit  int
-
-	mu      sync.Mutex
-	start   time.Time
-	base    map[string]tenantCounter
-	windows []MetricsWindow
-}
-
-func newMetricsHistory(window time.Duration, limit int) *metricsHistory {
-	return &metricsHistory{
-		window: window, limit: limit,
-		start: time.Now(), base: map[string]tenantCounter{},
-	}
-}
-
-// observe folds the current totals into a new window when one has
-// elapsed.
-func (h *metricsHistory) observe(now time.Time, totals map[string]tenantCounter) {
-	if h.window <= 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if now.Sub(h.start) < h.window {
-		return
-	}
-	w := MetricsWindow{
-		Start: h.start.UTC().Format(time.RFC3339Nano),
-		End:   now.UTC().Format(time.RFC3339Nano),
-	}
-	for tenant, c := range totals {
-		prev := h.base[tenant]
-		reqs, shed := c.requests-prev.requests, c.shed-prev.shed
-		if reqs == 0 && shed == 0 {
-			continue
-		}
-		w.Tenants = append(w.Tenants, TenantWindow{Tenant: tenant, Requests: reqs, Shed: shed})
-	}
-	sort.Slice(w.Tenants, func(i, j int) bool { return w.Tenants[i].Tenant < w.Tenants[j].Tenant })
-	h.windows = append(h.windows, w)
-	if len(h.windows) > h.limit {
-		h.windows = h.windows[len(h.windows)-h.limit:]
-	}
-	h.base = totals
-	h.start = now
-}
-
-// snapshot copies the ring, oldest window first.
-func (h *metricsHistory) snapshot() []MetricsWindow {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]MetricsWindow(nil), h.windows...)
-}
-
-// MetricsWindow is one captured span of the /v1/metrics history ring.
-type MetricsWindow struct {
-	Start   string         `json:"start"`
-	End     string         `json:"end"`
-	Tenants []TenantWindow `json:"tenants,omitempty"`
-}
-
-// TenantWindow is one tenant's admission activity within a window.
-type TenantWindow struct {
-	Tenant   string `json:"tenant"`
-	Requests uint64 `json:"requests"`
-	Shed     uint64 `json:"shed"`
-}
-
-// MetricsResponse is the response of GET /v1/metrics.
-type MetricsResponse struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	BucketLabels  []string         `json:"latency_bucket_labels"`
-	Requests      []RouteMetrics   `json:"requests"`
-	Admission     AdmissionMetrics `json:"admission"`
-	WhatIf        WhatIfMetrics    `json:"whatif"`
-	Sessions      SessionsMetrics  `json:"sessions"`
-	Campaigns     CampaignsMetrics `json:"campaigns"`
-	// Cache reports the on-disk second level, when configured.
-	Cache *CacheMetrics `json:"cache,omitempty"`
-	// History is the ring of recent per-tenant admission windows
-	// (oldest first; lazily captured at scrape time every
-	// Config.MetricsWindow).
-	History []MetricsWindow `json:"history,omitempty"`
-}
-
-// CacheMetrics reports the disk level of the tiered analysis store.
-type CacheMetrics struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Corrupt   uint64 `json:"corrupt"`
-	Skipped   uint64 `json:"skipped"`
-}
-
-// AdmissionMetrics reports the front-door state: the instantaneous
-// queue/slot occupancy and the tenants the bucket map has seen.
-type AdmissionMetrics struct {
-	Queued     int  `json:"queued"`
-	Executing  int  `json:"executing"`
-	Tenants    int  `json:"tenants"`
-	MaxClients int  `json:"max_clients"`
-	QueueDepth int  `json:"queue_depth"`
-	Draining   bool `json:"draining"`
-}
-
-// WhatIfMetrics aggregates the cache behaviour of the shared store and
-// the live sessions.
-type WhatIfMetrics struct {
-	StoreEntries   int     `json:"store_entries"`
-	StoreHits      uint64  `json:"store_hits"`
-	StoreMisses    uint64  `json:"store_misses"`
-	StoreEvictions uint64  `json:"store_evictions"`
-	SessionHits    uint64  `json:"session_hits"`
-	SessionMisses  uint64  `json:"session_misses"`
-	SessionHitRate float64 `json:"session_hit_rate_pct"`
-}
-
-// SessionsMetrics reports the registry population.
-type SessionsMetrics struct {
-	Active       int    `json:"active"`
-	Tenants      int    `json:"tenants"`
-	Created      uint64 `json:"created"`
-	Evicted      uint64 `json:"evicted"`
-	QuotaEvicted uint64 `json:"quota_evicted"`
-}
-
-// CampaignsMetrics reports the job table population.
-type CampaignsMetrics struct {
-	Jobs      int `json:"jobs"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
 }

@@ -9,24 +9,6 @@ import (
 	"time"
 )
 
-// TestLatencyBucketLabels pins the derived labels to the bounds: one
-// "<bound" label per bound plus the unbounded tail, and the bucket
-// array constant sized to match. A drift between bounds, labels, and
-// numLatencyBuckets breaks metrics consumers silently — this test makes
-// it loud.
-func TestLatencyBucketLabels(t *testing.T) {
-	want := []string{"<1ms", "<10ms", "<100ms", "<1s", "<10s", ">=10s"}
-	if !reflect.DeepEqual(LatencyBucketLabels, want) {
-		t.Fatalf("LatencyBucketLabels = %q, want %q", LatencyBucketLabels, want)
-	}
-	if len(LatencyBucketLabels) != len(latencyBucketBounds)+1 {
-		t.Fatalf("%d labels for %d bounds", len(LatencyBucketLabels), len(latencyBucketBounds))
-	}
-	if numLatencyBuckets != len(latencyBucketBounds)+1 {
-		t.Fatalf("numLatencyBuckets = %d, want %d", numLatencyBuckets, len(latencyBucketBounds)+1)
-	}
-}
-
 // TestRouteMetricsObserve pins the status classification and bucket
 // assignment of the lock-free observe path.
 func TestRouteMetricsObserve(t *testing.T) {
@@ -81,110 +63,5 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 	}
 	if total != goroutines*perG {
 		t.Fatalf("observed %d requests, want %d", total, goroutines*perG)
-	}
-}
-
-// historyTotals builds a per-tenant totals map for driving the ring.
-func historyTotals(pairs ...any) map[string]tenantCounter {
-	out := map[string]tenantCounter{}
-	for i := 0; i+2 < len(pairs); i += 3 {
-		out[pairs[i].(string)] = tenantCounter{
-			requests: uint64(pairs[i+1].(int)),
-			shed:     uint64(pairs[i+2].(int)),
-		}
-	}
-	return out
-}
-
-// TestMetricsHistoryWraparound fills the ring past its limit and
-// checks the oldest windows fall off while deltas stay per-window.
-func TestMetricsHistoryWraparound(t *testing.T) {
-	h := newMetricsHistory(time.Second, 3)
-	now := h.start
-	for i := 1; i <= 5; i++ {
-		now = now.Add(time.Second)
-		h.observe(now, historyTotals("a", 10*i, i))
-	}
-	ws := h.snapshot()
-	if len(ws) != 3 {
-		t.Fatalf("ring holds %d windows, want 3", len(ws))
-	}
-	for i, w := range ws {
-		if len(w.Tenants) != 1 || w.Tenants[0].Tenant != "a" {
-			t.Fatalf("window %d: %+v", i, w)
-		}
-		// Each window saw a delta of 10 requests / 1 shed.
-		if w.Tenants[0].Requests != 10 || w.Tenants[0].Shed != 1 {
-			t.Fatalf("window %d delta = %+v, want 10/1", i, w.Tenants[0])
-		}
-	}
-	// Oldest surviving window is the third capture.
-	if ws[0].Start >= ws[1].Start || ws[1].Start >= ws[2].Start {
-		t.Fatalf("windows out of order: %v", ws)
-	}
-}
-
-// TestMetricsHistoryLimitOne checks the degenerate ring of one window:
-// every capture replaces the previous one.
-func TestMetricsHistoryLimitOne(t *testing.T) {
-	h := newMetricsHistory(time.Second, 1)
-	now := h.start.Add(time.Second)
-	h.observe(now, historyTotals("a", 1, 0))
-	now = now.Add(time.Second)
-	h.observe(now, historyTotals("a", 5, 2))
-	ws := h.snapshot()
-	if len(ws) != 1 {
-		t.Fatalf("ring holds %d windows, want 1", len(ws))
-	}
-	got := ws[0].Tenants[0]
-	if got.Requests != 4 || got.Shed != 2 {
-		t.Fatalf("latest window delta = %+v, want 4/2", got)
-	}
-}
-
-// TestMetricsHistoryNoElapse checks that a scrape inside the window
-// captures nothing, and that idle tenants are omitted from a capture.
-func TestMetricsHistoryNoElapse(t *testing.T) {
-	h := newMetricsHistory(time.Minute, 4)
-	h.observe(h.start.Add(time.Second), historyTotals("a", 100, 0))
-	if ws := h.snapshot(); len(ws) != 0 {
-		t.Fatalf("window captured before elapse: %v", ws)
-	}
-	h.observe(h.start.Add(2*time.Minute), historyTotals("a", 100, 0, "b", 3, 1))
-	h.observe(h.start.Add(5*time.Minute), historyTotals("a", 100, 0, "b", 3, 1))
-	ws := h.snapshot()
-	// An idle elapsed period still captures a window — the ring records
-	// time between observations — but with no tenant entries.
-	if len(ws) != 2 {
-		t.Fatalf("ring holds %d windows, want 2: %v", len(ws), ws)
-	}
-	if len(ws[0].Tenants) != 2 {
-		t.Fatalf("first window tenants = %+v", ws[0].Tenants)
-	}
-	if len(ws[1].Tenants) != 0 {
-		t.Fatalf("idle window has tenants: %+v", ws[1].Tenants)
-	}
-}
-
-// TestMetricsHistoryConcurrent drives observes and snapshots from many
-// goroutines; -race verifies the ring's locking.
-func TestMetricsHistoryConcurrent(t *testing.T) {
-	h := newMetricsHistory(time.Millisecond, 8)
-	base := h.start
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 200; i++ {
-				h.observe(base.Add(time.Duration(g*200+i)*time.Millisecond),
-					historyTotals("t", g*200+i, 0))
-				h.snapshot()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if ws := h.snapshot(); len(ws) > 8 {
-		t.Fatalf("ring exceeded its limit: %d windows", len(ws))
 	}
 }

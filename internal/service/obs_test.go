@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -67,6 +68,22 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	if ct := "text/plain; version=0.0.4"; !strings.Contains(headerOf(t, base+"/metrics", "Content-Type"), ct) {
 		t.Errorf("/metrics content type does not advertise %q", ct)
 	}
+}
+
+// TestPromMetricsDiskTier: a CacheDir server exposes the disk tier's
+// byte budget and skipped-put counter.
+func TestPromMetricsDiskTier(t *testing.T) {
+	srv := mustServer(t, Config{Workers: 1, CacheDir: t.TempDir(), CacheMaxBytes: 1 << 20})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	if status, body := do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5)); status != http.StatusOK {
+		t.Fatalf("analyze: %d %s", status, body)
+	}
+	body := scrape(t, hs.URL)
+	if got := sample(t, body, `symtago_cache_max_bytes{tier="l2"}`); got != 1<<20 {
+		t.Fatalf("l2 max bytes = %v, want %d", got, 1<<20)
+	}
+	sample(t, body, `symtago_cache_skipped_total{tier="l2"}`) // fails the test when absent
 }
 
 // headerOf GETs url and returns the named response header.

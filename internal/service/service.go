@@ -26,7 +26,7 @@ import (
 // Config parameterises a Server. The zero value serves with defaults.
 type Config struct {
 	// StoreCapacity bounds the shared what-if memo store in cost units
-	// (<= 0 selects whatif.DefaultCapacity).
+	// (<= 0 selects cache.DefaultCapacity).
 	StoreCapacity int
 	// SessionTTL is the idle lifetime of persistent sessions (<= 0
 	// selects whatif.DefaultSessionTTL).
@@ -93,13 +93,6 @@ type Config struct {
 	// selects the distrib default).
 	ShardTimeout time.Duration
 
-	// MetricsWindow is the capture period of the /v1/metrics history
-	// ring (0 selects 60s; negative disables the ring).
-	MetricsWindow time.Duration
-	// MetricsHistory bounds how many windows the ring keeps (<= 0
-	// selects 32).
-	MetricsHistory int
-
 	// TraceSample is the fraction of unsolicited requests traced
 	// (0 selects obs.DefaultSampleRate; negative disables sampling).
 	// Requests carrying an X-Trace-Id header are always traced, and
@@ -142,12 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCampaignScenarios == 0 {
 		c.MaxCampaignScenarios = 20000
 	}
-	if c.MetricsWindow == 0 {
-		c.MetricsWindow = time.Minute
-	}
-	if c.MetricsHistory <= 0 {
-		c.MetricsHistory = 32
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = obs.DefaultSampleRate
 	}
@@ -161,12 +148,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	store     cache.Store   // session/analyze memo store (LRU, or Tiered over l2/remote)
-	l2        *cache.Disk   // nil unless CacheDir is configured
 	remote    *cache.Remote // nil unless RemoteCache is configured
 	shared    cache.Store   // the process-shared level under store (nil, l2, remote, or l2 over remote)
 	reg       *whatif.Registry
 	metrics   *metrics
-	history   *metricsHistory
 	adm       *admission
 	worker    *distrib.Worker
 	collector *obs.Collector
@@ -188,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	var l2 *cache.Disk
 	var remote *cache.Remote
-	var store cache.Store = whatif.NewStore(cfg.StoreCapacity)
+	var store cache.Store = cache.NewLRU(cfg.StoreCapacity)
 	if cfg.CacheDir != "" {
 		var err error
 		if l2, err = cache.NewDisk(cfg.CacheDir, cfg.CacheMaxBytes); err != nil {
@@ -222,12 +207,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
-		l2:        l2,
 		remote:    remote,
 		shared:    shared,
 		reg:       reg,
 		metrics:   newMetrics(),
-		history:   newMetricsHistory(cfg.MetricsWindow, cfg.MetricsHistory),
 		adm:       newAdmission(cfg.MaxClients, cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
 		worker:    distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: shared}),
 		collector: obs.NewCollector(cfg.TraceSample, cfg.TraceBuffer, 0),
@@ -248,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	ops("GET /v1/healthz", s.handleHealthz)
-	ops("GET /v1/metrics", s.handleMetrics)
 	ops("GET /metrics", s.handlePromMetrics)
 	ops("GET /v1/trace/{id}", s.handleTrace)
 	ops("GET /v1/debug/slowest", s.handleSlowest)

@@ -430,29 +430,39 @@ func TestCampaignCancelResume(t *testing.T) {
 	}
 }
 
+// scrape GETs the Prometheus surface.
+func scrape(t *testing.T, base string) []byte {
+	t.Helper()
+	status, body := do(t, "GET", base+"/metrics", "")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", status, body)
+	}
+	return body
+}
+
+// sample reads one series from a scrape.
+func sample(t *testing.T, body []byte, series string) float64 {
+	t.Helper()
+	v, err := promSample(body, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, base := newTestServer(t)
 	do(t, "POST", base+"/v1/analyze", testSpec(t, 5))
 	do(t, "POST", base+"/v1/analyze", "garbage\n")
-	status, body := do(t, "GET", base+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("metrics: %d %s", status, body)
+	body := scrape(t, base)
+	const route = `{route="POST /v1/analyze"}`
+	n := sample(t, body, "symtago_requests_total"+route)
+	errs := sample(t, body, "symtago_request_errors_total"+route)
+	if n != 2 || errs != 1 {
+		t.Fatalf("analyze route: %v requests, %v errors, want 2 and 1", n, errs)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	var analyze *RouteMetrics
-	for i := range m.Requests {
-		if m.Requests[i].Route == "POST /v1/analyze" {
-			analyze = &m.Requests[i]
-		}
-	}
-	if analyze == nil || analyze.Count != 2 || analyze.Errors != 1 {
-		t.Fatalf("analyze route metrics: %+v", m.Requests)
-	}
-	if m.WhatIf.StoreMisses == 0 {
-		t.Fatalf("whatif metrics: %+v", m.WhatIf)
+	if misses := sample(t, body, `symtago_cache_misses_total{tier="l1"}`); misses == 0 {
+		t.Fatal("analysis store reports no misses")
 	}
 }
 
@@ -717,16 +727,8 @@ func TestDrainingGate(t *testing.T) {
 	if status, _ := do(t, "GET", base+"/v1/healthz", ""); status != http.StatusOK {
 		t.Fatalf("drained healthz: %d, want 200", status)
 	}
-	status, body := do(t, "GET", base+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("drained metrics: %d", status)
-	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Admission.Draining {
-		t.Fatal("metrics do not report draining")
+	if draining := sample(t, scrape(t, base), "symtago_draining"); draining != 1 {
+		t.Fatalf("symtago_draining = %v, want 1", draining)
 	}
 }
 
@@ -738,24 +740,11 @@ func TestMetricsAdmissionCounters(t *testing.T) {
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5))
 	do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5)) // shed: bucket empty
-	status, body := do(t, "GET", hs.URL+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("metrics: %d", status)
+	body := scrape(t, hs.URL)
+	if shed := sample(t, body, `symtago_request_shed_total{route="POST /v1/analyze"}`); shed != 1 {
+		t.Fatalf("analyze shed counter = %v, want 1", shed)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	var analyze *RouteMetrics
-	for i := range m.Requests {
-		if m.Requests[i].Route == "POST /v1/analyze" {
-			analyze = &m.Requests[i]
-		}
-	}
-	if analyze == nil || analyze.Shed != 1 {
-		t.Fatalf("analyze shed counter: %+v", m.Requests)
-	}
-	if m.Admission.MaxClients == 0 || m.Admission.QueueDepth == 0 {
-		t.Fatalf("admission config missing from metrics: %+v", m.Admission)
+	if sample(t, body, "symtago_admission_max_clients") == 0 || sample(t, body, "symtago_admission_queue_depth") == 0 {
+		t.Fatal("admission capacity missing from metrics")
 	}
 }

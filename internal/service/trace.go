@@ -120,10 +120,9 @@ func (s *Server) handleSlowest(w http.ResponseWriter, r *http.Request) {
 	s.flight.WriteJSON(w)
 }
 
-// handlePromMetrics serves GET /metrics in the Prometheus text
-// exposition format — the same counters as the JSON /v1/metrics plus
-// the shard and trace families, emitted in a fixed family order with
-// sorted label sets so consecutive scrapes diff cleanly.
+// handlePromMetrics serves GET /metrics, the service's metrics surface,
+// in the Prometheus text exposition format: families in a fixed order
+// with sorted label sets, so consecutive scrapes diff cleanly.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewProm(w)
@@ -197,15 +196,19 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Uint("symtago_cache_misses_total", l, cs.Misses)
 		p.Uint("symtago_cache_evictions_total", l, cs.Evictions)
 		p.Uint("symtago_cache_corrupt_total", l, cs.Corrupt)
+		p.Uint("symtago_cache_skipped_total", l, cs.Skipped)
 		p.Uint("symtago_cache_entries", l, uint64(cs.Entries))
 		p.Uint("symtago_cache_bytes", l, uint64(cs.Bytes))
+		p.Uint("symtago_cache_max_bytes", l, uint64(cs.MaxBytes))
 	}
 	p.Family("symtago_cache_hits_total", "counter", "Cache hits by tier.")
 	p.Family("symtago_cache_misses_total", "counter", "Cache misses by tier.")
 	p.Family("symtago_cache_evictions_total", "counter", "Cache evictions by tier.")
 	p.Family("symtago_cache_corrupt_total", "counter", "Cache records dropped as unreadable by tier.")
+	p.Family("symtago_cache_skipped_total", "counter", "Cache puts of values the disk codec does not carry by tier.")
 	p.Family("symtago_cache_entries", "gauge", "Resident cache entries by tier.")
 	p.Family("symtago_cache_bytes", "gauge", "Resident cache bytes by tier (disk tier only).")
+	p.Family("symtago_cache_max_bytes", "gauge", "Cache byte budget by tier (disk tier only).")
 	switch {
 	case st.L1 != nil && st.L2 != nil && st.L2.L1 != nil && st.L2.L2 != nil:
 		tier("l1", *st.L1)

@@ -10,10 +10,11 @@ import (
 // Options configures a session.
 type Options struct {
 	// Store is the shared content-addressed memo; nil creates a private
-	// in-process store with DefaultCapacity. Sharing one store across
-	// sessions (a tolerance table's rows, a GA's workers) lets variants
-	// share work; a cache.Tiered store additionally shares converged
-	// results across processes and runs.
+	// in-process cache.LRU with cache.DefaultCapacity. Sharing one store
+	// across sessions (a service's sessions, a campaign scenario's
+	// baseline and perturbed analyses) lets variants share work; a
+	// cache.Tiered store additionally shares converged results across
+	// processes and runs.
 	Store cache.Store
 	// Workers bounds the fan-out of per-session analyses (<= 0 selects
 	// GOMAXPROCS). Results are identical for every worker count.
@@ -35,7 +36,7 @@ type Stats struct {
 	// (recomputed, or served by a shared second level).
 	Misses uint64
 	// Store snapshots the (possibly shared) backing store.
-	Store StoreStats
+	Store cache.Stats
 }
 
 // tagBusReport is the key-family tag of whole-bus reports.
@@ -63,7 +64,7 @@ type BusSession struct {
 func NewBusSession(k *kmatrix.KMatrix, analysis rta.Config, opts Options) *BusSession {
 	store := opts.Store
 	if store == nil {
-		store = NewStore(0)
+		store = cache.NewLRU(0)
 	}
 	analysis.Bus = k.Bus()
 	return &BusSession{

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/can"
 	"repro/internal/kmatrix"
 	"repro/internal/rta"
@@ -105,7 +106,7 @@ func TestBusSessionMatrixIsACopy(t *testing.T) {
 // store share per-message results.
 func TestBusSessionSharesAcrossSessions(t *testing.T) {
 	k := testMatrix(20)
-	store := NewStore(0)
+	store := cache.NewLRU(0)
 	s1 := NewBusSession(k, worstCfg(), Options{Store: store})
 	if _, err := s1.Analyze(); err != nil {
 		t.Fatal(err)
@@ -129,7 +130,6 @@ func TestChangeStrings(t *testing.T) {
 		SetDeadline{Message: "M", Deadline: 5 * ms},
 		ScaleJitter{Scale: 0.25},
 		ScaleJitter{Scale: 0.25, OnlyUnknown: true},
-		AssignIDs{IDs: map[string]can.ID{"M": 1}},
 		AddMessage{Row: kmatrix.Message{Name: "N", ID: 0x200, DLC: 8, Period: 10 * ms, Sender: "E"}},
 		RemoveMessage{Message: "M"},
 	} {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/contenthash"
 )
 
@@ -15,7 +16,7 @@ func digestOf(x uint64) contenthash.Digest {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(2)
+	s := cache.NewLRU(2)
 	s.Put(digestOf(1), 1)
 	s.Put(digestOf(2), 2)
 	if _, ok := s.Get(digestOf(1)); !ok {
@@ -44,8 +45,8 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 func TestStoreDefaultCapacity(t *testing.T) {
-	if got := NewStore(0).Stats().Capacity; got != DefaultCapacity {
-		t.Fatalf("capacity = %d, want %d", got, DefaultCapacity)
+	if got := cache.NewLRU(0).Stats().Capacity; got != cache.DefaultCapacity {
+		t.Fatalf("capacity = %d, want %d", got, cache.DefaultCapacity)
 	}
 }
 
@@ -106,7 +107,7 @@ func TestSessionCounters(t *testing.T) {
 func TestTinyBudgetStillCorrect(t *testing.T) {
 	k := testMatrix(20)
 	cfg := worstCfg()
-	sess := NewBusSession(k, cfg, Options{Store: NewStore(4), Workers: 2})
+	sess := NewBusSession(k, cfg, Options{Store: cache.NewLRU(4), Workers: 2})
 	for i := 0; i < 6; i++ {
 		name := k.Messages[i%len(k.Messages)].Name
 		if err := sess.Apply(SetJitter{Message: name, Jitter: time.Duration(i) * 321 * us}); err != nil {

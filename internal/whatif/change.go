@@ -147,24 +147,6 @@ func (c ScaleJitter) String() string {
 	return fmt.Sprintf("scale-jitter %g", c.Scale)
 }
 
-// AssignIDs reassigns identifiers in bulk — one optimizer candidate.
-// Messages absent from the map keep their identifiers (the semantics of
-// optimize.Apply).
-type AssignIDs struct {
-	IDs map[string]can.ID
-}
-
-func (c AssignIDs) apply(rows []kmatrix.Message) ([]kmatrix.Message, error) {
-	for i := range rows {
-		if id, ok := c.IDs[rows[i].Name]; ok {
-			rows[i].ID = id
-		}
-	}
-	return rows, nil
-}
-
-func (c AssignIDs) String() string { return fmt.Sprintf("assign-ids (%d messages)", len(c.IDs)) }
-
 // AddMessage appends a new row — a late-integration addition.
 type AddMessage struct {
 	Row kmatrix.Message

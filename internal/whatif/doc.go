@@ -6,10 +6,13 @@
 // The paper's integration story is an iteration loop: a supplier
 // delivers a revised ECU interface (new send jitter, period, priority,
 // frame length), and the OEM must re-verify the integrated network.
-// Tolerance searches, jitter sweeps and the priority-assignment GA all
-// generate thousands of near-identical variants of one base model. This
-// package makes a batch of such scenarios cost marginally more than
-// one.
+// The service's sessions, a campaign scenario's perturbation and the
+// extensibility search re-verify edits that leave most of the model
+// untouched; this package makes such a revision cost what it reaches.
+// Jitter sweeps, tolerance tables and the priority-assignment GA
+// analyse clones instead: whole-matrix jitter scaling and permuted
+// priorities leave the store little to reuse, and measured slower
+// through sessions (DESIGN.md, "Consumers").
 //
 // # Sessions
 //

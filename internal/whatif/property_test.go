@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/can"
 	"repro/internal/eventmodel"
 	"repro/internal/gateway"
@@ -86,7 +87,7 @@ func TestPropertyRandomChangeSequences(t *testing.T) {
 				"w1":   NewBusSession(base, cfg, Options{Workers: 1}),
 				"w4":   NewBusSession(base, cfg, Options{Workers: 4}),
 				"w8":   NewBusSession(base, cfg, Options{Workers: 8}),
-				"tiny": NewBusSession(base, cfg, Options{Workers: 4, Store: NewStore(8)}),
+				"tiny": NewBusSession(base, cfg, Options{Workers: 4, Store: cache.NewLRU(8)}),
 			}
 
 			freshID := can.ID(0x600)

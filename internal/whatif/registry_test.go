@@ -7,13 +7,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // newTestRegistry registers n fullSystem sessions sharing one store.
 func newTestRegistry(t *testing.T, ttl time.Duration, n int) (*Registry, []string) {
 	t.Helper()
 	r := NewRegistry(ttl)
-	store := NewStore(0)
+	store := cache.NewLRU(0)
 	ids := make([]string, n)
 	for i := range ids {
 		id, err := r.Add(NewSystemSession(fullSystem(t), Options{Store: store, Workers: 1}), "test")
@@ -107,7 +109,7 @@ func TestRegistrySweepEvictsIdleOnly(t *testing.T) {
 func TestRegistryTenantQuota(t *testing.T) {
 	r := NewRegistry(time.Minute)
 	r.SetTenantQuota(2)
-	store := NewStore(0)
+	store := cache.NewLRU(0)
 	add := func(owner string) string {
 		t.Helper()
 		id, err := r.Add(NewSystemSession(fullSystem(t), Options{Store: store, Workers: 1}), owner)
@@ -161,7 +163,7 @@ func TestRegistryTenantQuota(t *testing.T) {
 // clock handshakes are data-race free.
 func TestRegistrySweepAcquireRace(t *testing.T) {
 	r := NewRegistry(time.Millisecond)
-	store := NewStore(0)
+	store := cache.NewLRU(0)
 
 	// An injected clock the sweeper advances past the TTL on every
 	// iteration, so every idle session is always evictable.

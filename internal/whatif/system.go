@@ -94,7 +94,7 @@ type snapshot struct {
 func NewSystemSession(sys *core.System, opts Options) *SystemSession {
 	store := opts.Store
 	if store == nil {
-		store = NewStore(0)
+		store = cache.NewLRU(0)
 	}
 	s := &SystemSession{
 		store:   store,

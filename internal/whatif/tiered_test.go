@@ -45,7 +45,7 @@ func TestTieredSessionPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldReports, coldStats := busWorkload(t, cache.NewTiered(NewStore(0), disk))
+	coldReports, coldStats := busWorkload(t, cache.NewTiered(cache.NewLRU(0), disk))
 	if !reflect.DeepEqual(coldReports, refReports) {
 		t.Fatal("cold tiered run: reports differ from private-LRU run")
 	}
@@ -54,7 +54,7 @@ func TestTieredSessionPinned(t *testing.T) {
 	}
 
 	// Second run over the now-warm disk level, with a fresh L1.
-	warmReports, warmStats := busWorkload(t, cache.NewTiered(NewStore(0), disk))
+	warmReports, warmStats := busWorkload(t, cache.NewTiered(cache.NewLRU(0), disk))
 	if !reflect.DeepEqual(warmReports, refReports) {
 		t.Fatal("warm tiered run: reports differ from private-LRU run")
 	}
@@ -72,7 +72,7 @@ func TestTieredSessionPinned(t *testing.T) {
 // sessionOnly strips the store snapshot, leaving the per-session
 // counters that campaign rows embed.
 func sessionOnly(s Stats) Stats {
-	s.Store = StoreStats{}
+	s.Store = cache.Stats{}
 	return s
 }
 
@@ -103,12 +103,12 @@ func TestTieredSystemSessionPinned(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	_, coldStats := run(cache.NewTiered(NewStore(0), disk))
+	_, coldStats := run(cache.NewTiered(cache.NewLRU(0), disk))
 	if got, want := sessionOnly(coldStats), sessionOnly(refStats); got != want {
 		t.Fatalf("cold tiered system run: stats %+v, want %+v", got, want)
 	}
 
-	warmSess, warmStats := run(cache.NewTiered(NewStore(0), disk))
+	warmSess, warmStats := run(cache.NewTiered(cache.NewLRU(0), disk))
 	if got, want := sessionOnly(warmStats), sessionOnly(refStats); got != want {
 		t.Fatalf("warm tiered system run: stats %+v, want %+v", got, want)
 	}

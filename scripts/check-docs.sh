@@ -19,6 +19,9 @@
 #     declarations in that package's non-test files
 #   * backtick-quoted test names (`TestX`, `BenchmarkX`, `FuzzX`; a
 #     /subtest suffix is ignored), checked as funcs in a _test.go file
+#   * backtick-quoted HTTP routes (`GET /v1/x`, or a bare path under
+#     /v1/, /metrics, /healthz, /cache/ or /debug/pprof/), checked
+#     against the patterns symtago registers on its muxes
 #
 # Exits non-zero listing every dead reference.
 set -euo pipefail
@@ -101,6 +104,71 @@ while IFS= read -r name; do
   fi
 done <<<"$tests"
 
+# --- HTTP routes -------------------------------------------------------------
+# Registered patterns: the first argument of every HandleFunc (and of
+# the service's ops/route helpers) in the service, the shard worker,
+# the cacheserver and the pprof mux, with path constants of distrib and
+# cache substituted. A pattern naming anything else is skipped.
+route_consts=$(find internal/distrib internal/cache -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
+  sed -nE 's/^(const )?[[:space:]]*([A-Z][A-Za-z0-9_]*)[[:space:]]*=[[:space:]]*"([^"]*)".*/\2 \3/p' {} +)
+patterns=$(find internal/service internal/distrib internal/cacheserver cmd/symtago -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
+  sed -nE 's/.*(HandleFunc|[^A-Za-z_.]ops|[^A-Za-z_.]route)\(([^,]*),.*/\2/p' {} + |
+  awk -v consts="$route_consts" '
+    BEGIN { n = split(consts, cl, "\n"); for (i = 1; i <= n; i++) { split(cl[i], kv, " "); val[kv[1]] = kv[2] } }
+    {
+      out = ""; n = split($0, terms, "+")
+      for (i = 1; i <= n; i++) {
+        t = terms[i]; gsub(/^[[:space:]]+|[[:space:]]+$/, "", t)
+        if (t ~ /^".*"$/) { out = out substr(t, 2, length(t) - 2); continue }
+        sub(/^[a-z][a-z0-9]*\./, "", t)
+        if (!(t in val)) next
+        out = out val[t]
+      }
+      if (out ~ /^([A-Z]+ )?\//) print out
+    }' | sort -u)
+routes=$(grep -ohE '`((GET|HEAD|POST|PUT|DELETE|PATCH) )?/[^` ]*`' "${doc_files[@]}" | tr -d '`' |
+  grep -E '^[A-Z]+ /|^/(v1/|metrics|healthz|cache/|debug/pprof/)' | sort -u)
+n_routes=$(grep -c . <<<"$routes" || true)
+# A doc route matches a pattern when the methods agree (a pattern
+# without one takes any; GET also answers HEAD), and the paths agree
+# segment by segment: {x} on either side takes one segment, and a
+# pattern ending in / takes its whole subtree. [?...] and ?... are ignored.
+dead_routes=$(awk -v pats="$patterns" '
+  function split_route(r, parts) {
+    parts["m"] = ""
+    if (r ~ /^[A-Z]+ /) { parts["m"] = substr(r, 1, index(r, " ") - 1); r = substr(r, index(r, " ") + 1) }
+    sub(/[[?].*/, "", r)
+    parts["p"] = r
+  }
+  function wild(seg) { return seg ~ /^\{[^}]*\}$/ }
+  function path_ok(d, p,   nd, np, ds, ps, i, subtree) {
+    nd = split(d, ds, "/"); np = split(p, ps, "/")
+    subtree = p ~ /\/$/
+    if (subtree) { np--; if (nd < np) return 0 } else if (nd != np) return 0
+    for (i = 1; i <= np; i++) {
+      if (ds[i] == ps[i]) continue
+      if ((wild(ds[i]) || wild(ps[i])) && ds[i] != "" && ps[i] != "") continue
+      return 0
+    }
+    return 1
+  }
+  function method_ok(dm, pm) { return pm == "" || dm == "" || dm == pm || (dm == "HEAD" && pm == "GET") }
+  BEGIN { np = split(pats, pl, "\n") }
+  NF {
+    split_route($0, d)
+    for (i = 1; i <= np; i++) {
+      split_route(pl[i], p)
+      if (method_ok(d["m"], p["m"]) && path_ok(d["p"], p["p"])) next
+    }
+    print
+  }' <<<"$routes")
+while IFS= read -r route; do
+  [ -z "$route" ] && continue
+  echo "dead route reference: $route (symtago registers no matching pattern)" >&2
+  echo "  in: $(grep -lF -- "\`$route\`" "${doc_files[@]}" | tr '\n' ' ')" >&2
+  fail=1
+done <<<"$dead_routes"
+
 if [ "$fail" -ne 0 ]; then
   echo "docs reference check FAILED" >&2
   exit 1
@@ -108,4 +176,4 @@ fi
 n_refs=$(wc -l <<<"$refs" | tr -d ' ')
 n_flags=$(wc -l <<<"$flags" | tr -d ' ')
 n_tests=$(grep -c . <<<"$tests" || true)
-echo "docs reference check ok: $n_refs paths, $n_flags flags, $n_names package-qualified names and $n_tests test names verified across ${#doc_files[@]} docs"
+echo "docs reference check ok: $n_refs paths, $n_flags flags, $n_names package-qualified names, $n_tests test names and $n_routes routes verified across ${#doc_files[@]} docs"
