@@ -35,7 +35,7 @@ func cmdCampaign(args []string) error {
 	corpusPath := fs.String("corpus", "", "write the canonical corpus listing here")
 	quick := fs.Bool("quick", false, "64-scenario corpus with a 100ms simulation span")
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; run the campaign distributed")
-	shard := fs.Int("shard", 0, "scenarios per distributed shard (0 = 256)")
+	shard := shardFlag(fs)
 	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	cacheDir := fs.String("cache-dir", "", "local runs: on-disk second-level result cache (empty = memory only)")
@@ -44,6 +44,9 @@ func cmdCampaign(args []string) error {
 	traceOut := fs.String("trace-out", "", "record the whole run at full rate and write Chrome trace_event JSON here")
 	flightN := fs.Int("flight", 0, "keep the N slowest scenarios' span trees; SIGQUIT dumps them as JSON to stderr (0 = off)")
 	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := checkShard("campaign", *shard); err != nil {
 		return err
 	}
 

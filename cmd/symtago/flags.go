@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/campaign"
 )
 
 // The flag helpers below register the flags shared by many
@@ -26,6 +27,21 @@ func scenarioFlag(fs *flag.FlagSet) *string {
 // drivers.
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+}
+
+// shardFlag registers the uniform -shard flag of the distributed
+// campaign coordinators.
+func shardFlag(fs *flag.FlagSet) *int {
+	return fs.Int("shard", 0, "scenarios per distributed shard (0 = 256, at most 4096)")
+}
+
+// checkShard rejects a -shard value larger than the shard a worker
+// accepts.
+func checkShard(cmd string, n int) error {
+	if n > campaign.MaxShardSize {
+		return usageErrf("%s: -shard %d exceeds the maximum shard size %d", cmd, n, campaign.MaxShardSize)
+	}
+	return nil
 }
 
 // remoteCacheFlag registers the uniform -remote-cache flag.

@@ -35,7 +35,7 @@ func cmdServe(args []string) error {
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
 	remoteCache := remoteCacheFlag(fs)
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; campaigns fan out over them")
-	shardSize := fs.Int("shard", 0, "scenarios per distributed shard (0 = 256)")
+	shardSize := shardFlag(fs)
 	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of requests traced (0 = default 0.01, negative = off; X-Trace-Id always traces)")
@@ -50,6 +50,9 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 7, "selftest: scenario seed")
 	tenants := fs.Int("tenants", 8, "selftest: tenant identities the clients spread over")
 	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := checkShard("serve", *shardSize); err != nil {
 		return err
 	}
 

@@ -216,17 +216,17 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 
 	if row.Converged && cfg.Seeds > 0 {
 		_, ssp := obs.StartSpan(ctx, "simulate")
-		st, err := CrossValidate(sys, base, topo, cfg.Seeds, cfg.Duration)
+		v, err := CrossValidate(sys, base, topo, cfg.Seeds, cfg.Duration)
 		if err != nil {
 			ssp.End()
 			return row, fmt.Errorf("scenario %d: %w", sc.Index, err)
 		}
-		row.SimRuns = st.SimRuns
-		row.Frames = st.Frames
-		row.Violations = st.Violations
-		row.Losses = st.Losses
-		row.LossPredicted = st.LossPredicted
-		row.MinMarginPct = st.MinMarginPct
+		row.SimRuns = v.Runs
+		row.Frames = v.Frames
+		row.Violations = v.Violations
+		row.Losses = v.Losses
+		row.LossPredicted = v.LossPredicted()
+		row.MinMarginPct = v.MinMarginPct()
 		ssp.SetInt("runs", int64(row.SimRuns))
 		ssp.SetInt("frames", int64(row.Frames))
 		ssp.End()

@@ -128,6 +128,11 @@ func (j *Job) PendingRanges(size int) []ShardRange {
 // amortises.
 const DefaultShardSize = 256
 
+// MaxShardSize is the largest shard a worker accepts, 16x
+// DefaultShardSize: a shard request names its own corpus spec, so its
+// count must be bounded before anything is generated.
+const MaxShardSize = 4096
+
 // InstallShard records a completed shard together with its partial
 // fingerprint — the additive fold of the shard's scenario leaf
 // digests, computed by whoever generated the slice. The partial must

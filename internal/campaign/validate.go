@@ -2,126 +2,26 @@ package campaign
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/rta"
-	"repro/internal/tdma"
 )
 
-// SimStats aggregates a cross-validation: every observation of a
-// holistic network simulation folded against its compositional bound.
-type SimStats struct {
-	// SimRuns counts completed simulation runs; Frames the frames they
-	// sent.
-	SimRuns, Frames int
-	// Violations counts observations exceeding a bound (path latency,
-	// per-message response, gateway backlog, unpredicted loss).
-	Violations int
-	// Losses counts instances lost inside gateways; LossPredicted
-	// reports whether the analysis predicted loss anywhere.
-	Losses        int
-	LossPredicted bool
-	// MinMarginPct is the tightest observed path margin,
-	// 100*(bound-observed)/bound over bounded traced paths; NaN when
-	// nothing was observed.
-	MinMarginPct float64
-}
-
-// CrossValidate simulates the topology over a seed fan and folds every
-// observation against the analysis bounds: traced path latencies
-// against SimulatedPathBound, per-message responses against WCRTs,
-// gateway backlogs against the queueing bound, and losses against the
-// loss prediction. It is the per-scenario validation stage of the
-// campaign, exported so services can validate a single uploaded system
-// with exactly the campaign's checks.
+// CrossValidate simulates the topology over the seeds 1..seeds and
+// folds every run into a netsim.Validation against the analysis bounds.
+// It is the per-scenario validation stage of the campaign, exported so
+// services can validate a single uploaded system with exactly the
+// campaign's checks.
 func CrossValidate(sys *core.System, a *core.Analysis, topo *netsim.Topology,
-	seeds int, duration time.Duration) (SimStats, error) {
-	st := SimStats{MinMarginPct: math.NaN()}
-	// Per-path bounds over the simulated hops; unbounded paths are
-	// excluded from the margin but still traced.
-	type pathBound struct {
-		name    string
-		bound   time.Duration
-		bounded bool
-	}
-	bounds := make([]pathBound, len(topo.Paths))
-	for i, ps := range topo.Paths {
-		b, ok := netsim.SimulatedPathBound(sys, a, ps.Name)
-		bounds[i] = pathBound{name: ps.Name, bound: b, bounded: ok}
-	}
-	lossPredicted := map[string]bool{}
-	for _, g := range topo.Gateways {
-		rep := a.GatewayReports[g.Name]
-		predicted := rep.Overflow
-		for _, fr := range rep.Flows {
-			predicted = predicted || fr.OverwriteLoss
-		}
-		lossPredicted[g.Name] = predicted
-		st.LossPredicted = st.LossPredicted || predicted
-	}
-
+	seeds int, duration time.Duration) (*netsim.Validation, error) {
+	v := netsim.NewValidation(sys, a, topo)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		res, err := netsim.Run(topo, netsim.Config{Duration: duration, Seed: seed})
 		if err != nil {
-			return st, fmt.Errorf("seed %d: %w", seed, err)
+			return nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
-		st.SimRuns++
-		for _, pb := range bounds {
-			pr := res.Path(pb.name)
-			if pr == nil || pr.Completed == 0 || !pb.bounded {
-				continue
-			}
-			if pr.MaxLatency > pb.bound {
-				st.Violations++
-			}
-			margin := 100 * float64(pb.bound-pr.MaxLatency) / float64(pb.bound)
-			if math.IsNaN(st.MinMarginPct) || margin < st.MinMarginPct {
-				st.MinMarginPct = margin
-			}
-		}
-		for _, br := range res.Buses {
-			rep := a.BusReports[br.Name]
-			for _, s := range br.Stats {
-				st.Frames += s.Sent
-				r := rep.ByName(s.Name)
-				if r == nil || r.WCRT == rta.Unschedulable || s.Sent == 0 {
-					continue
-				}
-				if s.MaxResponse > r.WCRT {
-					st.Violations++
-				}
-			}
-		}
-		for _, br := range res.TDMABuses {
-			rep := a.TDMAReports[br.Name]
-			for _, s := range br.Stats {
-				st.Frames += s.Sent
-				r := rep.ByName(s.Name)
-				if r == nil || r.WCRT == tdma.Unschedulable || s.Sent == 0 {
-					continue
-				}
-				if s.MaxResponse > r.WCRT {
-					st.Violations++
-				}
-			}
-		}
-		for _, g := range topo.Gateways {
-			gr := res.Gateway(g.Name)
-			// Backlog saturates to MaxInt on overloaded gateways, so the
-			// bound check stays valid there.
-			rep := a.GatewayReports[g.Name]
-			if gr.MaxBacklog > rep.Backlog {
-				st.Violations++
-			}
-			lost := gr.Lost()
-			st.Losses += lost
-			if lost > 0 && !lossPredicted[g.Name] {
-				st.Violations++
-			}
-		}
+		v.Add(res)
 	}
-	return st, nil
+	return v, nil
 }

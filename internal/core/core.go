@@ -309,9 +309,66 @@ func (a *Analysis) AllSchedulable() bool {
 // DefaultMaxIterations bounds global propagation rounds.
 const DefaultMaxIterations = 64
 
-// Analyze runs the compositional fixpoint: local analyses, propagate
-// output models along links, repeat until stable.
+// Analyzers runs the local analysis of one resource inside the fixpoint.
+// Each method receives the resource's configuration and its elements'
+// current activation models and returns the report as is, so an
+// implementation may answer from a memo: every report is a pure function
+// of these arguments. Errors pass through the fixpoint unwrapped, so an
+// implementation names the resource in its own errors.
+type Analyzers interface {
+	Bus(name string, msgs []rta.Message, cfg rta.Config) (*rta.Report, error)
+	ECU(name string, tasks []osek.Task, cfg osek.Config) (*osek.Report, error)
+	TDMA(name string, msgs []tdma.Message, sched tdma.Schedule, bus can.Bus, stuffing can.Stuffing) (*tdma.Report, error)
+	Gateway(name string, flows []gateway.Flow, cfg gateway.Config) (*gateway.Report, error)
+}
+
+// direct is Analyze's Analyzers: the analyses themselves.
+type direct struct{}
+
+func (direct) Bus(name string, msgs []rta.Message, cfg rta.Config) (*rta.Report, error) {
+	rep, err := rta.Analyze(msgs, cfg)
+	return rep, wrapLocal("bus", name, err)
+}
+
+func (direct) ECU(name string, tasks []osek.Task, cfg osek.Config) (*osek.Report, error) {
+	rep, err := osek.Analyze(tasks, cfg)
+	return rep, wrapLocal("ECU", name, err)
+}
+
+func (direct) TDMA(name string, msgs []tdma.Message, sched tdma.Schedule, bus can.Bus, stuffing can.Stuffing) (*tdma.Report, error) {
+	rep, err := tdma.Analyze(msgs, sched, bus, stuffing)
+	return rep, wrapLocal("TDMA bus", name, err)
+}
+
+func (direct) Gateway(name string, flows []gateway.Flow, cfg gateway.Config) (*gateway.Report, error) {
+	rep, err := gateway.Analyze(flows, cfg)
+	return rep, wrapLocal("gateway", name, err)
+}
+
+func wrapLocal(kind, name string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("core: %s %s: %w", kind, name, err)
+}
+
+// Analyze runs the compositional fixpoint with the direct analyses:
+// local analyses, propagate output models along links, repeat until
+// stable.
+//
+// Propagation writes into this System: every link target's activation
+// model (gateway flow arrivals included) is overwritten in place, so
+// after Analyze the System holds the converged models. netsim.FromSystem
+// on an analysed System therefore simulates the propagated models, which
+// is what symtago netsim validates; build a fresh System to analyse or
+// simulate the registered models again.
 func (s *System) Analyze(maxIterations int) (*Analysis, error) {
+	return s.AnalyzeWith(direct{}, maxIterations)
+}
+
+// AnalyzeWith runs Analyze's fixpoint, propagation into the System
+// included, with the local analyses of an.
+func (s *System) AnalyzeWith(an Analyzers, maxIterations int) (*Analysis, error) {
 	if maxIterations <= 0 {
 		maxIterations = DefaultMaxIterations
 	}
@@ -326,7 +383,7 @@ func (s *System) Analyze(maxIterations int) (*Analysis, error) {
 	}
 	for iter := 1; iter <= maxIterations; iter++ {
 		a.Iterations = iter
-		if err := s.analyzeLocal(a); err != nil {
+		if err := s.analyzeLocal(an, a); err != nil {
 			return nil, err
 		}
 		changed, err := s.propagate(a)
@@ -338,7 +395,7 @@ func (s *System) Analyze(maxIterations int) (*Analysis, error) {
 			break
 		}
 	}
-	if err := s.analyzeLocal(a); err != nil {
+	if err := s.analyzeLocal(an, a); err != nil {
 		return nil, err
 	}
 	s.pathLatencies(a)
@@ -346,36 +403,36 @@ func (s *System) Analyze(maxIterations int) (*Analysis, error) {
 }
 
 // analyzeLocal refreshes all per-resource reports.
-func (s *System) analyzeLocal(a *Analysis) error {
+func (s *System) analyzeLocal(an Analyzers, a *Analysis) error {
 	for _, name := range s.busNames {
 		b := s.buses[name]
-		rep, err := rta.Analyze(b.msgs, b.cfg)
+		rep, err := an.Bus(name, b.msgs, b.cfg)
 		if err != nil {
-			return fmt.Errorf("core: bus %s: %w", name, err)
+			return err
 		}
 		a.BusReports[name] = rep
 	}
 	for _, name := range s.ecuNames {
 		e := s.ecus[name]
-		rep, err := osek.Analyze(e.tasks, e.cfg)
+		rep, err := an.ECU(name, e.tasks, e.cfg)
 		if err != nil {
-			return fmt.Errorf("core: ECU %s: %w", name, err)
+			return err
 		}
 		a.ECUReports[name] = rep
 	}
 	for _, name := range s.tdmaNames {
 		t := s.tdmas[name]
-		rep, err := tdma.Analyze(t.msgs, t.sched, t.bus, t.stuffing)
+		rep, err := an.TDMA(name, t.msgs, t.sched, t.bus, t.stuffing)
 		if err != nil {
-			return fmt.Errorf("core: TDMA bus %s: %w", name, err)
+			return err
 		}
 		a.TDMAReports[name] = rep
 	}
 	for _, name := range s.gwNames {
 		g := s.gws[name]
-		rep, err := gateway.Analyze(g.flows, g.cfg)
+		rep, err := an.Gateway(name, g.flows, g.cfg)
 		if err != nil {
-			return fmt.Errorf("core: gateway %s: %w", name, err)
+			return err
 		}
 		a.GatewayReports[name] = rep
 	}

@@ -17,6 +17,15 @@
 // actuator task) are bounded by the sum of the from-arrival worst-case
 // responses along the path, the standard compositional latency bound.
 //
+// The fixpoint exists once. Analyze runs it over the direct local
+// analyses; AnalyzeWith runs it over any Analyzers, which is how the
+// incremental what-if sessions (package whatif) put their memo under
+// each local analysis, and Load reloads edited resource inputs into a
+// System in place between runs. Propagation writes the converged
+// activation models into the analysed System, and the network
+// simulator (package netsim) simulates a System built or analysed this
+// way, so one wiring drives both.
+//
 // This is the source paper's Section 5: integration analysed at the
 // network level — ECUs, buses and gateways coupled by the event-model
 // interfaces OEMs and suppliers exchange.

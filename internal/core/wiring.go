@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/can"
+	"repro/internal/eventmodel"
 	"repro/internal/gateway"
 	"repro/internal/osek"
 	"repro/internal/rta"
@@ -101,6 +104,57 @@ func (s *System) Gateways() []GatewayInfo {
 		out = append(out, info)
 	}
 	return out
+}
+
+// Load overwrites, in place, the inputs of registered resources with
+// snapshots shaped like those Buses, ECUs, TDMABuses and Gateways
+// return: configurations, bus and ECU elements, TDMA schedules and
+// messages. Every gateway flow's arrival returns to its placeholder, the
+// service period of the loaded configuration. As in the Add methods,
+// the configurations' name fields are set to the resource name; gateway
+// flow lists are ignored, and links and paths stay. Elements are copied
+// into the System's own storage, so a caller that edits its snapshots
+// between runs can Analyze one System again and again without
+// rebuilding it.
+func (s *System) Load(buses []BusInfo, ecus []ECUInfo, tdmas []TDMAInfo, gws []GatewayInfo) error {
+	for _, in := range buses {
+		b := s.buses[in.Name]
+		if b == nil {
+			return fmt.Errorf("core: unknown bus %q", in.Name)
+		}
+		b.cfg = in.Config
+		b.cfg.Bus.Name = in.Name
+		b.msgs = append(b.msgs[:0], in.Messages...)
+	}
+	for _, in := range ecus {
+		e := s.ecus[in.Name]
+		if e == nil {
+			return fmt.Errorf("core: unknown ECU %q", in.Name)
+		}
+		e.cfg = in.Config
+		e.tasks = append(e.tasks[:0], in.Tasks...)
+	}
+	for _, in := range tdmas {
+		t := s.tdmas[in.Name]
+		if t == nil {
+			return fmt.Errorf("core: unknown TDMA bus %q", in.Name)
+		}
+		t.sched, t.bus, t.stuffing = in.Schedule, in.Bus, in.Stuffing
+		t.bus.Name = in.Name
+		t.msgs = append(t.msgs[:0], in.Messages...)
+	}
+	for _, in := range gws {
+		g := s.gws[in.Name]
+		if g == nil {
+			return fmt.Errorf("core: unknown gateway %q", in.Name)
+		}
+		g.cfg = in.Config
+		g.cfg.Name = in.Name
+		for i := range g.flows {
+			g.flows[i].Arrival = eventmodel.Periodic(g.cfg.Service.Period)
+		}
+	}
+	return nil
 }
 
 // Links returns the registered event-model propagation links.

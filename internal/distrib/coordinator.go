@@ -29,7 +29,7 @@ type Options struct {
 	// (e.g. http://127.0.0.1:9101). At least one is required.
 	Workers []string
 	// ShardSize bounds scenarios per shard (<= 0 selects
-	// campaign.DefaultShardSize).
+	// campaign.DefaultShardSize; at most campaign.MaxShardSize).
 	ShardSize int
 	// PipelineDepth bounds how many shards may be in flight to one
 	// worker at once (<= 0 selects DefaultPipelineDepth; 1 disables
@@ -177,6 +177,9 @@ func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.R
 	opts = opts.withDefaults()
 	if len(opts.Workers) == 0 {
 		return nil, Stats{}, fmt.Errorf("distrib: no workers")
+	}
+	if opts.ShardSize > campaign.MaxShardSize {
+		return nil, Stats{}, fmt.Errorf("distrib: shard size %d exceeds the maximum %d", opts.ShardSize, campaign.MaxShardSize)
 	}
 	shards := job.PendingRanges(opts.ShardSize)
 	if len(shards) == 0 {

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -287,5 +288,47 @@ func TestDistribVersionSkew(t *testing.T) {
 		Workers: []string{skewed.URL}, MaxAttempts: 1,
 	}); err == nil || !strings.Contains(err.Error(), "wire version") {
 		t.Fatalf("expected wire version failure, got %v", err)
+	}
+}
+
+// TestDistribShardSizeBounded: a shard request names its own corpus
+// spec, so the worker bounds its count before generating anything, and
+// the coordinator refuses a shard size no worker accepts.
+func TestDistribShardSizeBounded(t *testing.T) {
+	w := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer w.Close()
+	ref, err := campaign.NewSpecRef(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The range also lies outside its 12-scenario corpus, so a worker
+	// without the size check answers 400 too, but with the generator's
+	// range error and no allocation either way.
+	body, err := json.Marshal(ShardRequest{
+		Version: WireVersion, Corpus: ref, Count: campaign.MaxShardSize + 1,
+		Config: NewShardConfig(testConfig()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(w.URL+ShardPath, "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("exceeds the maximum %d", campaign.MaxShardSize)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+		t.Fatalf("oversized shard: got %s %q, want 400 %q", resp.Status, msg, want)
+	}
+
+	job, err := campaign.NewSpecJob(testSpec(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), job, Options{
+		Workers: []string{w.URL}, ShardSize: campaign.MaxShardSize + 1,
+	}); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Fatalf("coordinator accepted shard size %d: %v", campaign.MaxShardSize+1, err)
 	}
 }

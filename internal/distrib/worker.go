@@ -97,6 +97,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
+	if req.Count > campaign.MaxShardSize {
+		http.Error(rw, fmt.Sprintf("shard of %d scenarios exceeds the maximum %d", req.Count, campaign.MaxShardSize),
+			http.StatusBadRequest)
+		return
+	}
 	// A trace header means the coordinator wants this shard's execution
 	// spans back. The worker records into its own standalone trace (the
 	// coordinator splices it under the dispatch span by remapping IDs,

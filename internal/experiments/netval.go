@@ -31,40 +31,9 @@ type NetworkValidation struct {
 	Duration time.Duration
 	// Shallow records whether the FIFO was deliberately under-dimensioned.
 	Shallow bool
-	// PathRows summarises each traced path.
-	PathRows []NetworkPathRow
-	// GatewayRows summarises each gateway.
-	GatewayRows []NetworkGatewayRow
-	// Violations counts any observation beyond its bound: path
-	// latencies, message responses, backlogs, or loss without a
-	// predicted overflow.
-	Violations int
-	// Losses counts instances lost inside gateways across all runs.
-	Losses int
-	// TotalFrames counts frames delivered across all runs and buses.
-	TotalFrames int
-}
-
-// NetworkPathRow is the per-path validation summary.
-type NetworkPathRow struct {
-	Name       string
-	Bound      time.Duration
-	Observed   time.Duration
-	Completed  int
-	Dropped    int
-	Violations int
-}
-
-// NetworkGatewayRow is the per-gateway validation summary.
-type NetworkGatewayRow struct {
-	Name          string
-	Policy        gateway.Policy
-	BacklogBound  int
-	QueueDepth    int // 0 = unbounded
-	MaxBacklog    int
-	Losses        int
-	LossPredicted bool
-	Violations    int
+	// Validation holds the per-path and per-gateway checks with every
+	// run folded in.
+	*netsim.Validation
 }
 
 // NetworkValidationParams tunes the run; the zero value is the full
@@ -224,91 +193,16 @@ func RunNetworkValidation(p NetworkValidationParams) (*NetworkValidation, []repo
 		return nil, nil, err
 	}
 
-	nv := &NetworkValidation{Seeds: p.Seeds, Duration: p.Duration, Shallow: p.Shallow}
-
-	// Path rows, seeded with their bounds.
-	for _, ps := range topo.Paths {
-		bound, ok := netsim.SimulatedPathBound(sys, a, ps.Name)
-		if !ok {
-			return nil, nil, fmt.Errorf("netval: unbounded path %s", ps.Name)
+	v := netsim.NewValidation(sys, a, topo)
+	for _, pc := range v.Paths {
+		if !pc.Bounded {
+			return nil, nil, fmt.Errorf("netval: unbounded path %s", pc.Name)
 		}
-		nv.PathRows = append(nv.PathRows, NetworkPathRow{Name: ps.Name, Bound: bound})
 	}
-	for _, g := range topo.Gateways {
-		rep := a.GatewayReports[g.Name]
-		lossPredicted := rep.Overflow
-		for _, fr := range rep.Flows {
-			lossPredicted = lossPredicted || fr.OverwriteLoss
-		}
-		nv.GatewayRows = append(nv.GatewayRows, NetworkGatewayRow{
-			Name: g.Name, Policy: g.Policy, BacklogBound: rep.Backlog,
-			QueueDepth: g.QueueDepth, LossPredicted: lossPredicted,
-		})
-	}
-
 	for _, res := range results {
-		for pi := range nv.PathRows {
-			row := &nv.PathRows[pi]
-			pr := res.Path(row.Name)
-			row.Completed += pr.Completed
-			row.Dropped += pr.Dropped
-			if pr.MaxLatency > row.Observed {
-				row.Observed = pr.MaxLatency
-			}
-			if pr.MaxLatency > row.Bound {
-				row.Violations++
-			}
-		}
-		for _, br := range res.Buses {
-			rep := a.BusReports[br.Name]
-			for _, st := range br.Stats {
-				nv.TotalFrames += st.Sent
-				r := rep.ByName(st.Name)
-				if r == nil || r.WCRT == rta.Unschedulable || st.Sent == 0 {
-					continue
-				}
-				if st.MaxResponse > r.WCRT {
-					nv.Violations++
-				}
-			}
-		}
-		for _, br := range res.TDMABuses {
-			rep := a.TDMAReports[br.Name]
-			for _, st := range br.Stats {
-				nv.TotalFrames += st.Sent
-				r := rep.ByName(st.Name)
-				if r == nil || r.WCRT == tdma.Unschedulable || st.Sent == 0 {
-					continue
-				}
-				if st.MaxResponse > r.WCRT {
-					nv.Violations++
-				}
-			}
-		}
-		for gi := range nv.GatewayRows {
-			row := &nv.GatewayRows[gi]
-			gr := res.Gateway(row.Name)
-			if gr.MaxBacklog > row.MaxBacklog {
-				row.MaxBacklog = gr.MaxBacklog
-			}
-			if gr.MaxBacklog > row.BacklogBound {
-				row.Violations++
-			}
-			lost := gr.Lost()
-			row.Losses += lost
-			nv.Losses += lost
-			if lost > 0 && !row.LossPredicted {
-				// Loss although the analysis predicted none: violation.
-				row.Violations++
-			}
-		}
+		v.Add(res)
 	}
-	for _, row := range nv.PathRows {
-		nv.Violations += row.Violations
-	}
-	for _, row := range nv.GatewayRows {
-		nv.Violations += row.Violations
-	}
+	nv := &NetworkValidation{Seeds: p.Seeds, Duration: p.Duration, Shallow: p.Shallow, Validation: v}
 
 	var traces []report.BusTrace
 	if p.Trace {
@@ -357,15 +251,15 @@ func (n *NetworkValidation) Render() string {
 	b.WriteString("Network Monte-Carlo cross-validation — holistic simulation vs. compositional bounds\n\n")
 	rows := [][]string{
 		{"runs x duration", fmt.Sprintf("%d x %v", n.Seeds, n.Duration)},
-		{"frames delivered", fmt.Sprint(n.TotalFrames)},
+		{"frames delivered", fmt.Sprint(n.Frames)},
 		{"bound violations", fmt.Sprint(n.Violations)},
 		{"gateway losses", fmt.Sprint(n.Losses)},
 	}
 	b.WriteString(report.Table([]string{"quantity", "value"}, rows))
 
 	b.WriteString("\nend-to-end paths (observed max vs. compositional bound):\n")
-	prow := make([][]string, 0, len(n.PathRows))
-	for _, r := range n.PathRows {
+	prow := make([][]string, 0, len(n.Paths))
+	for _, r := range n.Paths {
 		margin := "-"
 		if r.Bound > 0 {
 			margin = fmt.Sprintf("%.1f%%", 100*float64(r.Bound-r.Observed)/float64(r.Bound))
@@ -379,8 +273,8 @@ func (n *NetworkValidation) Render() string {
 		[]string{"path", "completed", "dropped", "observed", "bound", "margin"}, prow))
 
 	b.WriteString("\ngateways (observed backlog vs. bound, loss vs. prediction):\n")
-	grow := make([][]string, 0, len(n.GatewayRows))
-	for _, r := range n.GatewayRows {
+	grow := make([][]string, 0, len(n.Gateways))
+	for _, r := range n.Gateways {
 		depth := "unbounded"
 		if r.QueueDepth > 0 {
 			depth = fmt.Sprint(r.QueueDepth)

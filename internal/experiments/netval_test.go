@@ -22,10 +22,10 @@ func TestNetworkValidationBoundsDominate(t *testing.T) {
 	if nv.Losses != 0 {
 		t.Errorf("losses = %d on the dimensioned queue, want 0", nv.Losses)
 	}
-	if len(nv.PathRows) != 2 {
-		t.Fatalf("path rows = %d, want 2", len(nv.PathRows))
+	if len(nv.Paths) != 2 {
+		t.Fatalf("paths = %d, want 2", len(nv.Paths))
 	}
-	for _, row := range nv.PathRows {
+	for _, row := range nv.Paths {
 		if row.Completed == 0 {
 			t.Errorf("path %s never completed", row.Name)
 		}
@@ -55,7 +55,7 @@ func TestNetworkValidationShallowLosesWherePredicted(t *testing.T) {
 		t.Errorf("violations = %d; predicted loss must not count as one", nv.Violations)
 	}
 	predicted := false
-	for _, row := range nv.GatewayRows {
+	for _, row := range nv.Gateways {
 		if row.Name == "gwPT" {
 			predicted = row.LossPredicted
 		}

@@ -11,6 +11,9 @@
 // latency must stay below its compositional bound, every observed
 // gateway backlog below the arrival-curve backlog bound, and message
 // loss may occur only where the analysis predicted a queue too shallow.
+// Validation is that check, the one fold every caller shares: campaign
+// scenarios, shard workers, the service's simulate route and the
+// network-validation experiment.
 //
 // Architecture: each CAN bus is an instance of the indexed-heap event
 // calendar of package sim (release heap, rank heaps, inlined pending

@@ -26,9 +26,10 @@ func GenerateRange(spec Spec, start, count int) ([]Scenario, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if start < 0 || count < 0 || start+count > spec.Count {
-		return nil, fmt.Errorf("scenario: range [%d,%d) outside corpus of %d",
-			start, start+count, spec.Count)
+	// Compared without start+count, which a hostile range can overflow.
+	if start < 0 || count < 0 || start > spec.Count || count > spec.Count-start {
+		return nil, fmt.Errorf("scenario: range of %d from %d outside corpus of %d",
+			count, start, spec.Count)
 	}
 	scs := make([]Scenario, count)
 	for i := range scs {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -55,6 +56,23 @@ func TestGenerateRangeConcatenatesToFullCorpus(t *testing.T) {
 			t.Fatalf("trial %d: folded fingerprint %s != corpus fingerprint %s",
 				trial, d, full.Fingerprint())
 		}
+	}
+}
+
+// TestGenerateRangeRejectsOverflowingRange pins the range check to
+// arithmetic that cannot wrap: start+count overflows for these ranges,
+// and a wrapped sum once passed the bound (returning scenario index
+// math.MaxInt from a 10-scenario corpus).
+func TestGenerateRangeRejectsOverflowingRange(t *testing.T) {
+	spec := Spec{Seed: 1, Count: 10}
+	for _, r := range [][2]int{{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt}, {11, 0}, {3, 8}} {
+		if scs, err := GenerateRange(spec, r[0], r[1]); err == nil {
+			t.Errorf("range of %d from %d accepted (%d scenarios)", r[1], r[0], len(scs))
+		}
+	}
+	scs, err := GenerateRange(spec, 10, 0)
+	if err != nil || len(scs) != 0 {
+		t.Fatalf("empty range at the end: %d scenarios, %v", len(scs), err)
 	}
 }
 

@@ -94,15 +94,15 @@ func (s *Server) simulate(w http.ResponseWriter, r *http.Request, body []byte, i
 			"analysis did not converge; bounds are not comparable")
 		return
 	}
-	st, err := campaign.CrossValidate(sys, a, topo, seeds, duration)
+	v, err := campaign.CrossValidate(sys, a, topo, seeds, duration)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, CodeAnalysisFailed, "simulation: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SimulateResponse{
-		Runs: st.SimRuns, Frames: st.Frames, Violations: st.Violations,
-		Losses: st.Losses, LossPredicted: st.LossPredicted,
-		MinMarginPct: marginString(st.MinMarginPct),
+		Runs: v.Runs, Frames: v.Frames, Violations: v.Violations,
+		Losses: v.Losses, LossPredicted: v.LossPredicted(),
+		MinMarginPct: marginString(v.MinMarginPct()),
 	})
 }
 

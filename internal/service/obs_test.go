@@ -68,6 +68,7 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	if ct := "text/plain; version=0.0.4"; !strings.Contains(headerOf(t, base+"/metrics", "Content-Type"), ct) {
 		t.Errorf("/metrics content type does not advertise %q", ct)
 	}
+	assertFamiliesGrouped(t, body)
 }
 
 // TestPromMetricsDiskTier: a CacheDir server exposes the disk tier's
@@ -84,6 +85,32 @@ func TestPromMetricsDiskTier(t *testing.T) {
 		t.Fatalf("l2 max bytes = %v, want %d", got, 1<<20)
 	}
 	sample(t, body, `symtago_cache_skipped_total{tier="l2"}`) // fails the test when absent
+	assertFamiliesGrouped(t, body)
+}
+
+// assertFamiliesGrouped checks the exposition format's grouping rule:
+// every sample belongs to the family of the most recent # TYPE line,
+// a histogram's _bucket, _sum and _count series included.
+func assertFamiliesGrouped(t *testing.T, body []byte) {
+	t.Helper()
+	family := ""
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(rest, " ")
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		switch strings.TrimPrefix(name, family) {
+		case "", "_bucket", "_sum", "_count":
+			if strings.HasPrefix(name, family) {
+				continue
+			}
+		}
+		t.Errorf("sample %q is not in family %q", line, family)
+	}
 }
 
 // headerOf GETs url and returns the named response header.

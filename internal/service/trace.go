@@ -190,35 +190,34 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	// itself tiered (disk over fleet), so its stats unnest one more
 	// step; a flat store is its own l1.
 	st := s.store.Stats()
-	tier := func(name string, cs cache.Stats) {
-		l := obs.Labels{"tier", name}
-		p.Uint("symtago_cache_hits_total", l, cs.Hits)
-		p.Uint("symtago_cache_misses_total", l, cs.Misses)
-		p.Uint("symtago_cache_evictions_total", l, cs.Evictions)
-		p.Uint("symtago_cache_corrupt_total", l, cs.Corrupt)
-		p.Uint("symtago_cache_skipped_total", l, cs.Skipped)
-		p.Uint("symtago_cache_entries", l, uint64(cs.Entries))
-		p.Uint("symtago_cache_bytes", l, uint64(cs.Bytes))
-		p.Uint("symtago_cache_max_bytes", l, uint64(cs.MaxBytes))
+	type tier struct {
+		name string
+		cs   cache.Stats
 	}
-	p.Family("symtago_cache_hits_total", "counter", "Cache hits by tier.")
-	p.Family("symtago_cache_misses_total", "counter", "Cache misses by tier.")
-	p.Family("symtago_cache_evictions_total", "counter", "Cache evictions by tier.")
-	p.Family("symtago_cache_corrupt_total", "counter", "Cache records dropped as unreadable by tier.")
-	p.Family("symtago_cache_skipped_total", "counter", "Cache puts of values the disk codec does not carry by tier.")
-	p.Family("symtago_cache_entries", "gauge", "Resident cache entries by tier.")
-	p.Family("symtago_cache_bytes", "gauge", "Resident cache bytes by tier (disk tier only).")
-	p.Family("symtago_cache_max_bytes", "gauge", "Cache byte budget by tier (disk tier only).")
+	tiers := []tier{{"l1", st}}
 	switch {
 	case st.L1 != nil && st.L2 != nil && st.L2.L1 != nil && st.L2.L2 != nil:
-		tier("l1", *st.L1)
-		tier("l2", *st.L2.L1)
-		tier("remote", *st.L2.L2)
+		tiers = []tier{{"l1", *st.L1}, {"l2", *st.L2.L1}, {"remote", *st.L2.L2}}
 	case st.L1 != nil && st.L2 != nil:
-		tier("l1", *st.L1)
-		tier("l2", *st.L2)
-	default:
-		tier("l1", st)
+		tiers = []tier{{"l1", *st.L1}, {"l2", *st.L2}}
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		v               func(cache.Stats) uint64
+	}{
+		{"symtago_cache_hits_total", "counter", "Cache hits by tier.", func(c cache.Stats) uint64 { return c.Hits }},
+		{"symtago_cache_misses_total", "counter", "Cache misses by tier.", func(c cache.Stats) uint64 { return c.Misses }},
+		{"symtago_cache_evictions_total", "counter", "Cache evictions by tier.", func(c cache.Stats) uint64 { return c.Evictions }},
+		{"symtago_cache_corrupt_total", "counter", "Cache records dropped as unreadable by tier.", func(c cache.Stats) uint64 { return c.Corrupt }},
+		{"symtago_cache_skipped_total", "counter", "Cache puts of values the disk codec does not carry by tier.", func(c cache.Stats) uint64 { return c.Skipped }},
+		{"symtago_cache_entries", "gauge", "Resident cache entries by tier.", func(c cache.Stats) uint64 { return uint64(c.Entries) }},
+		{"symtago_cache_bytes", "gauge", "Resident cache bytes by tier (disk tier only).", func(c cache.Stats) uint64 { return uint64(c.Bytes) }},
+		{"symtago_cache_max_bytes", "gauge", "Cache byte budget by tier (disk tier only).", func(c cache.Stats) uint64 { return uint64(c.MaxBytes) }},
+	} {
+		p.Family(f.name, f.typ, f.help)
+		for _, t := range tiers {
+			p.Uint(f.name, obs.Labels{"tier", t.name}, f.v(t.cs))
+		}
 	}
 	if s.remote != nil {
 		s.promRemote(p)

@@ -2,7 +2,6 @@ package whatif
 
 import (
 	"repro/internal/cache"
-	"repro/internal/contenthash"
 	"repro/internal/kmatrix"
 	"repro/internal/rta"
 )
@@ -48,29 +47,22 @@ const tagBusReport = 0x4255535245503161 // "BUSREP1a"
 // rta.Analyze on the edited matrix and shared with the memo store —
 // treat them as read-only.
 type BusSession struct {
-	store   cache.Store
+	memo    memo
 	cfg     rta.Config
-	workers int
 	busName string
 	bitRate int
 	base    []kmatrix.Message
 	cur     []kmatrix.Message
-	stats   Stats
 }
 
 // NewBusSession opens a session on a snapshot of k. The analysis
 // configuration's Bus field is overwritten from the matrix, mirroring
 // the sweep and optimizer entry points.
 func NewBusSession(k *kmatrix.KMatrix, analysis rta.Config, opts Options) *BusSession {
-	store := opts.Store
-	if store == nil {
-		store = cache.NewLRU(0)
-	}
 	analysis.Bus = k.Bus()
 	return &BusSession{
-		store:   store,
+		memo:    newMemo(opts),
 		cfg:     analysis,
-		workers: opts.Workers,
 		busName: k.BusName,
 		bitRate: k.BitRate,
 		base:    cloneRows(k.Messages),
@@ -116,72 +108,18 @@ func (s *BusSession) Matrix() *kmatrix.KMatrix {
 	return &kmatrix.KMatrix{BusName: s.busName, BitRate: s.bitRate, Messages: rows}
 }
 
-// Analyze re-verifies the current matrix. A variant already in the
-// store returns its memoized report outright; otherwise only messages
-// whose input digests are new are re-analysed (rta.AnalyzeCached).
+// Analyze re-verifies the current matrix through the session's bus
+// memo: a variant already in the store returns its memoized report
+// outright; otherwise only messages whose input digests are new are
+// re-analysed.
 func (s *BusSession) Analyze() (*rta.Report, error) {
 	msgs := make([]rta.Message, len(s.cur))
 	for i, m := range s.cur {
 		msgs[i] = m.ToRTA()
 	}
-	key := reportKey(tagBusReport, s.cfg, msgs)
-	// Whole-report snapshots resolve against the in-process level only:
-	// a second-level short-circuit here would skip the per-message
-	// counter activity and make the session statistics (and the L1
-	// population) depend on shared-cache state.
-	if v, ok := cache.GetPrimary(s.store, key); ok {
-		if rep, ok := v.(*rta.Report); ok {
-			s.stats.ReportHits++
-			return rep, nil
-		}
-	}
-	cc := countingCache{store: s.store, stats: &s.stats}
-	rep, err := rta.AnalyzeCached(msgs, s.cfg, &cc, s.workers)
-	if err != nil {
-		return nil, err
-	}
-	cache.PutPrimary(s.store, key, rep)
-	return rep, nil
+	return s.memo.bus(msgs, s.cfg)
 }
 
 // Stats returns the session's hit/miss counters plus a snapshot of the
 // backing store.
-func (s *BusSession) Stats() Stats {
-	st := s.stats
-	st.Store = s.store.Stats()
-	return st
-}
-
-// reportKey digests a whole resource: configuration plus all messages
-// in the given order.
-func reportKey(tag uint64, cfg rta.Config, msgs []rta.Message) contenthash.Digest {
-	h := contenthash.New(tag)
-	rta.HashConfig(&h, cfg)
-	rta.HashMessages(&h, msgs)
-	return h.Sum()
-}
-
-// countingCache forwards to the shared store while attributing hits and
-// misses to one session. Analyses call Get and Put serially, so plain
-// counters suffice.
-type countingCache struct {
-	store cache.Store
-	stats *Stats
-}
-
-// Get counts a hit only when the in-process level answered. A shared
-// second-level hit still returns the value (the caller skips the
-// recomputation and the store promotes the entry into L1, which is
-// exactly where a cold run's Put would have placed it) but is charged
-// as a miss, keeping session counters independent of shared state.
-func (c *countingCache) Get(key contenthash.Digest) (any, bool) {
-	v, primary, ok := cache.GetLeveled(c.store, key)
-	if ok && primary {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
-	return v, ok
-}
-
-func (c *countingCache) Put(key contenthash.Digest, v any) { c.store.Put(key, v) }
+func (s *BusSession) Stats() Stats { return s.memo.snapshot() }

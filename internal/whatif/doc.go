@@ -23,8 +23,10 @@
 //   - SystemSession wraps a multi-resource core.System (CAN buses,
 //     ECUs, TDMA buses, gateways, propagation links, paths). Apply
 //     SystemChanges (element edits, gateway retuning, TDMA slot edits),
-//     then Analyze: the compositional fixpoint of core.Analyze with
-//     per-resource memoization.
+//     then Analyze: core's own compositional fixpoint
+//     (core.System.AnalyzeWith) over one scratch System the session
+//     reloads in place, with the session's per-resource memo as its
+//     core.Analyzers.
 //
 // # Dependency graph and invalidation
 //

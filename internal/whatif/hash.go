@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"repro/internal/can"
 	"repro/internal/contenthash"
 	"repro/internal/eventmodel"
 	"repro/internal/gateway"
@@ -18,10 +19,10 @@ const (
 	tagGatewayReport = 0x4757524550313163 // "GWREP11c"
 )
 
-// The resource hashers absorb every field their analysis reads; raw
-// field values are hashed (no default resolution), which at worst costs
-// a miss between equivalent spellings, never a wrong hit. Keep them in
-// sync with the osek/tdma/gateway analysis inputs.
+// The resource keys absorb every field their analysis reads; raw field
+// values are hashed (no default resolution), which at worst costs a miss
+// between equivalent spellings, never a wrong hit. Keep them in sync
+// with the osek/tdma/gateway analysis inputs.
 
 func hashModel(h *contenthash.Hasher, m eventmodel.Model) {
 	h.Int(int64(m.Period))
@@ -30,7 +31,8 @@ func hashModel(h *contenthash.Hasher, m eventmodel.Model) {
 	h.Bool(m.Sporadic)
 }
 
-func hashECU(h *contenthash.Hasher, cfg osek.Config, tasks []osek.Task) {
+func ecuKey(cfg osek.Config, tasks []osek.Task) contenthash.Digest {
+	h := contenthash.New(tagECUReport)
 	h.Int(int64(cfg.Overheads.Activate))
 	h.Int(int64(cfg.Overheads.Terminate))
 	h.Int(int64(cfg.Overheads.ContextSwitch))
@@ -41,22 +43,21 @@ func hashECU(h *contenthash.Hasher, cfg osek.Config, tasks []osek.Task) {
 		h.Int(int64(t.Priority))
 		h.Int(int64(t.WCET))
 		h.Int(int64(t.BCET))
-		hashModel(h, t.Event)
+		hashModel(&h, t.Event)
 		h.Int(int64(t.Kind))
 		h.Bool(t.ISR)
 		h.Int(int64(t.Deadline))
 	}
+	return h.Sum()
 }
 
-// hashTDMA absorbs the TDMA analysis inputs; the message slice is
-// passed explicitly because the fixpoint analyses the scratch copy,
-// not the pristine one.
-func hashTDMA(h *contenthash.Hasher, t *sysTDMA, msgs []tdma.Message) {
-	h.String(t.bus.Name)
-	h.Int(int64(t.bus.BitRate))
-	h.Int(int64(t.stuffing))
-	h.Int(int64(len(t.sched.Slots)))
-	for _, sl := range t.sched.Slots {
+func tdmaKey(msgs []tdma.Message, sched tdma.Schedule, bus can.Bus, stuffing can.Stuffing) contenthash.Digest {
+	h := contenthash.New(tagTDMAReport)
+	h.String(bus.Name)
+	h.Int(int64(bus.BitRate))
+	h.Int(int64(stuffing))
+	h.Int(int64(len(sched.Slots)))
+	for _, sl := range sched.Slots {
 		h.String(sl.Owner)
 		h.Int(int64(sl.Length))
 	}
@@ -66,38 +67,23 @@ func hashTDMA(h *contenthash.Hasher, t *sysTDMA, msgs []tdma.Message) {
 		h.Word(uint64(m.Frame.ID))
 		h.Int(int64(m.Frame.Format))
 		h.Int(int64(m.Frame.DLC))
-		hashModel(h, m.Event)
+		hashModel(&h, m.Event)
 		h.Int(int64(m.Deadline))
 	}
+	return h.Sum()
 }
 
-func hashGateway(h *contenthash.Hasher, cfg gateway.Config, flows []gateway.Flow) {
+func gatewayKey(cfg gateway.Config, flows []gateway.Flow) contenthash.Digest {
+	h := contenthash.New(tagGatewayReport)
 	h.String(cfg.Name)
-	hashModel(h, cfg.Service)
+	hashModel(&h, cfg.Service)
 	h.Int(int64(cfg.Batch))
 	h.Int(int64(cfg.Policy))
 	h.Int(int64(cfg.QueueDepth))
 	h.Int(int64(len(flows)))
 	for _, f := range flows {
 		h.String(f.Name)
-		hashModel(h, f.Arrival)
+		hashModel(&h, f.Arrival)
 	}
-}
-
-func ecuKey(cfg osek.Config, tasks []osek.Task) contenthash.Digest {
-	h := contenthash.New(tagECUReport)
-	hashECU(&h, cfg, tasks)
-	return h.Sum()
-}
-
-func tdmaKey(t *sysTDMA) contenthash.Digest {
-	h := contenthash.New(tagTDMAReport)
-	hashTDMA(&h, t, t.work)
-	return h.Sum()
-}
-
-func gatewayKey(cfg gateway.Config, flows []gateway.Flow) contenthash.Digest {
-	h := contenthash.New(tagGatewayReport)
-	hashGateway(&h, cfg, flows)
 	return h.Sum()
 }

@@ -21,10 +21,10 @@ type SystemChange interface {
 	String() string
 }
 
-func (s *SystemSession) bus(name string) (*sysBus, error) {
-	for _, b := range s.buses {
-		if b.name == name {
-			return b, nil
+func (s *SystemSession) bus(name string) (*core.BusInfo, error) {
+	for i := range s.buses {
+		if s.buses[i].Name == name {
+			return &s.buses[i], nil
 		}
 	}
 	return nil, fmt.Errorf("whatif: unknown bus %q", name)
@@ -35,27 +35,27 @@ func (s *SystemSession) busMessage(resource, message string) (*rta.Message, erro
 	if err != nil {
 		return nil, err
 	}
-	for i := range b.msgs {
-		if b.msgs[i].Name == message {
-			return &b.msgs[i], nil
+	for i := range b.Messages {
+		if b.Messages[i].Name == message {
+			return &b.Messages[i], nil
 		}
 	}
 	return nil, fmt.Errorf("whatif: bus %q has no message %q", resource, message)
 }
 
-func (s *SystemSession) tdmaRes(name string) (*sysTDMA, error) {
-	for _, t := range s.tdmas {
-		if t.name == name {
-			return t, nil
+func (s *SystemSession) tdmaRes(name string) (*core.TDMAInfo, error) {
+	for i := range s.tdmas {
+		if s.tdmas[i].Name == name {
+			return &s.tdmas[i], nil
 		}
 	}
 	return nil, fmt.Errorf("whatif: unknown TDMA bus %q", name)
 }
 
-func (s *SystemSession) gwRes(name string) (*sysGW, error) {
-	for _, g := range s.gws {
-		if g.name == name {
-			return g, nil
+func (s *SystemSession) gwRes(name string) (*core.GatewayInfo, error) {
+	for i := range s.gws {
+		if s.gws[i].Name == name {
+			return &s.gws[i], nil
 		}
 	}
 	return nil, fmt.Errorf("whatif: unknown gateway %q", name)
@@ -154,7 +154,7 @@ func (c AddBusMessage) applySystem(s *SystemSession) error {
 	if err := c.Message.Validate(); err != nil {
 		return fmt.Errorf("whatif: add: %w", err)
 	}
-	b.msgs = append(b.msgs, c.Message)
+	b.Messages = append(b.Messages, c.Message)
 	return nil
 }
 
@@ -187,9 +187,9 @@ func (c RemoveBusMessage) applySystem(s *SystemSession) error {
 			}
 		}
 	}
-	for i := range b.msgs {
-		if b.msgs[i].Name == c.Message {
-			b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
+	for i := range b.Messages {
+		if b.Messages[i].Name == c.Message {
+			b.Messages = append(b.Messages[:i], b.Messages[i+1:]...)
 			return nil
 		}
 	}
@@ -220,7 +220,7 @@ func (c RetuneGateway) applySystem(s *SystemSession) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("whatif: %w", err)
 	}
-	g.cfg = cfg
+	g.Config = cfg
 	return nil
 }
 
@@ -240,11 +240,11 @@ func (c SetTDMASlot) applySystem(s *SystemSession) error {
 	if err != nil {
 		return err
 	}
-	slots := append([]tdma.Slot(nil), t.sched.Slots...)
+	slots := append([]tdma.Slot(nil), t.Schedule.Slots...)
 	for i := range slots {
 		if slots[i].Owner == c.Owner {
 			slots[i].Length = c.Length
-			t.sched = tdma.Schedule{Slots: slots}
+			t.Schedule = tdma.Schedule{Slots: slots}
 			return nil
 		}
 	}
@@ -267,7 +267,7 @@ func (c SetTDMASchedule) applySystem(s *SystemSession) error {
 	if err != nil {
 		return err
 	}
-	t.sched = tdma.Schedule{Slots: append([]tdma.Slot(nil), c.Schedule.Slots...)}
+	t.Schedule = tdma.Schedule{Slots: append([]tdma.Slot(nil), c.Schedule.Slots...)}
 	return nil
 }
 
@@ -277,39 +277,40 @@ func (c SetTDMASchedule) String() string {
 
 // pristineModel resolves the editable activation model of an element in
 // the pristine state (gateway flow arrivals are derived, not editable).
+// Buses are resolved last, so an unknown resource reads as an unknown
+// bus; the scans before it build no error values, which keeps an edit
+// of a bus message allocation-free.
 func (s *SystemSession) pristineModel(resource, element string) (*eventmodel.Model, error) {
-	switch s.kinds[resource] {
-	case kindBus:
-		m, err := s.busMessage(resource, element)
-		if err != nil {
-			return nil, err
+	for _, e := range s.ecus {
+		if e.Name != resource {
+			continue
 		}
-		return &m.Event, nil
-	case kindECU:
-		for _, e := range s.ecus {
-			if e.name != resource {
-				continue
+		for i := range e.Tasks {
+			if e.Tasks[i].Name == element {
+				return &e.Tasks[i].Event, nil
 			}
-			for i := range e.tasks {
-				if e.tasks[i].Name == element {
-					return &e.tasks[i].Event, nil
-				}
-			}
-			return nil, fmt.Errorf("whatif: ECU %q has no task %q", resource, element)
 		}
-	case kindTDMA:
-		t, err := s.tdmaRes(resource)
-		if err != nil {
-			return nil, err
+		return nil, fmt.Errorf("whatif: ECU %q has no task %q", resource, element)
+	}
+	for _, t := range s.tdmas {
+		if t.Name != resource {
+			continue
 		}
-		for i := range t.msgs {
-			if t.msgs[i].Name == element {
-				return &t.msgs[i].Event, nil
+		for i := range t.Messages {
+			if t.Messages[i].Name == element {
+				return &t.Messages[i].Event, nil
 			}
 		}
 		return nil, fmt.Errorf("whatif: TDMA bus %q has no message %q", resource, element)
-	case kindGW:
-		return nil, fmt.Errorf("whatif: gateway flow %s/%s arrivals are derived by propagation; edit the source element", resource, element)
 	}
-	return nil, fmt.Errorf("whatif: unknown resource %q", resource)
+	for _, g := range s.gws {
+		if g.Name == resource {
+			return nil, fmt.Errorf("whatif: gateway flow %s/%s arrivals are derived by propagation; edit the source element", resource, element)
+		}
+	}
+	m, err := s.busMessage(resource, element)
+	if err != nil {
+		return nil, err
+	}
+	return &m.Event, nil
 }

@@ -26,8 +26,15 @@ cs_addr=127.0.0.1:8575
 w1_addr=127.0.0.1:8576
 w2_addr=127.0.0.1:8577
 work=$(mktemp -d)
+# Each job PID is killed on its own (one quoted "$(jobs -p)" would hand
+# kill a single newline-joined argument), and the jobs are reaped before
+# their work dir goes away.
 cleanup() {
-  kill "$(jobs -p)" >/dev/null 2>&1 || true
+  local pid
+  for pid in $(jobs -p); do
+    kill "$pid" >/dev/null 2>&1 || true
+  done
+  wait >/dev/null 2>&1 || true
   rm -rf "$work"
 }
 trap cleanup EXIT
