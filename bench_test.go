@@ -552,6 +552,28 @@ func BenchmarkAnalyzeCase88(b *testing.B) {
 	}
 }
 
+// BenchmarkTDMABacklog measures the TDMA backlog search on its two
+// expensive shapes: an over-rate stream (period below the cycle, no
+// depth ever drains) and a long burst (a jitter of a minute at 0.5ms
+// spacing, draining after about 6300 instances). A linear scan over the
+// depth costs 2^20 and about 6300 steps for them; the galloping search
+// a few dozen delta- evaluations each.
+func BenchmarkTDMABacklog(b *testing.B) {
+	ms := time.Millisecond
+	bus := can.Bus{Name: "tt", BitRate: can.Rate500k}
+	frame := can.Frame{ID: 0x100, Format: can.Standard11Bit, DLC: 8}
+	sched := tdma.Schedule{Slots: []tdma.Slot{{Owner: "over-rate", Length: ms}, {Owner: "burst", Length: ms}}}
+	msgs := []tdma.Message{
+		{Name: "over-rate", Frame: frame, Event: eventmodel.Periodic(ms)},
+		{Name: "burst", Frame: frame, Event: eventmodel.PeriodicBurst(10*ms, time.Minute, ms/2)},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := tdma.Analyze(msgs, sched, bus, can.StuffingWorstCase); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSimulateSecond(b *testing.B) {
 	k := experiments.DefaultMatrix()
 	specs := make([]sim.MessageSpec, len(k.Messages))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -132,6 +133,29 @@ const DefaultShardSize = 256
 // DefaultShardSize: a shard request names its own corpus spec, so its
 // count must be bounded before anything is generated.
 const MaxShardSize = 4096
+
+// MaxSimSeeds and MaxSimDuration bound the simulation one request may
+// commit a process to: seeds netsim runs of duration simulated time per
+// scenario. CrossValidate does not stop for a cancelled request, so the
+// network edges (the service's simulate and campaign routes, a worker's
+// shard route, the distributed coordinator) refuse larger values before
+// any work starts. The defaults are 2 seeds of 200ms.
+const (
+	MaxSimSeeds    = 64
+	MaxSimDuration = 10 * time.Second
+)
+
+// CheckSimulation reports whether seeds runs of duration each stay
+// within MaxSimSeeds and MaxSimDuration.
+func CheckSimulation(seeds int, duration time.Duration) error {
+	if seeds > MaxSimSeeds {
+		return fmt.Errorf("campaign: %d simulation seeds exceed the maximum %d", seeds, MaxSimSeeds)
+	}
+	if duration > MaxSimDuration {
+		return fmt.Errorf("campaign: simulated span %v exceeds the maximum %v", duration, MaxSimDuration)
+	}
+	return nil
+}
 
 // InstallShard records a completed shard together with its partial
 // fingerprint — the additive fold of the shard's scenario leaf

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -152,5 +153,24 @@ func TestJobResumeAfterCancel(t *testing.T) {
 func TestJobEmptyCorpus(t *testing.T) {
 	if _, err := NewSpecJob(scenario.Spec{Count: -1}, Config{}); err == nil {
 		t.Fatal("NewSpecJob accepted a negative corpus count")
+	}
+}
+
+func TestCheckSimulation(t *testing.T) {
+	for _, tc := range []struct {
+		seeds    int
+		duration time.Duration
+		ok       bool
+	}{
+		{0, 0, true},
+		{2, 200 * time.Millisecond, true},
+		{-1, 0, true},
+		{MaxSimSeeds, MaxSimDuration, true},
+		{MaxSimSeeds + 1, 0, false},
+		{2, MaxSimDuration + 1, false},
+	} {
+		if err := CheckSimulation(tc.seeds, tc.duration); (err == nil) != tc.ok {
+			t.Errorf("CheckSimulation(%d, %v) = %v, want ok %v", tc.seeds, tc.duration, err, tc.ok)
+		}
 	}
 }

@@ -181,6 +181,9 @@ func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.R
 	if opts.ShardSize > campaign.MaxShardSize {
 		return nil, Stats{}, fmt.Errorf("distrib: shard size %d exceeds the maximum %d", opts.ShardSize, campaign.MaxShardSize)
 	}
+	if err := campaign.CheckSimulation(job.Config().Seeds, job.Config().Duration); err != nil {
+		return nil, Stats{}, fmt.Errorf("distrib: %w", err)
+	}
 	shards := job.PendingRanges(opts.ShardSize)
 	if len(shards) == 0 {
 		rep, err := job.Run(ctx)

@@ -332,3 +332,54 @@ func TestDistribShardSizeBounded(t *testing.T) {
 		t.Fatalf("coordinator accepted shard size %d: %v", campaign.MaxShardSize+1, err)
 	}
 }
+
+// TestDistribSimulationBounded: a shard request also names its own
+// simulation work, so the worker refuses more seeds or simulated time
+// than campaign.CheckSimulation allows before running anything, and the
+// coordinator refuses such a job before dispatch.
+func TestDistribSimulationBounded(t *testing.T) {
+	var hits atomic.Int64
+	worker := NewWorker(WorkerConfig{}).Handler()
+	w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		worker.ServeHTTP(rw, r)
+	}))
+	defer w.Close()
+	ref, err := campaign.NewSpecRef(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]campaign.Config{
+		"seeds":    {Seeds: campaign.MaxSimSeeds + 1},
+		"duration": {Duration: campaign.MaxSimDuration + 1},
+	} {
+		body, err := json.Marshal(ShardRequest{
+			Version: WireVersion, Corpus: ref, Count: 1, Config: NewShardConfig(cfg),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(w.URL+ShardPath, "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "the maximum") {
+			t.Errorf("%s: got %s %q, want 400", name, resp.Status, msg)
+		}
+
+		job, err := campaign.NewSpecJob(testSpec(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := hits.Load()
+		if _, err := Run(context.Background(), job, Options{Workers: []string{w.URL}}); err == nil ||
+			!strings.Contains(err.Error(), "the maximum") {
+			t.Errorf("%s: coordinator accepted %+v: %v", name, job.Config(), err)
+		}
+		if n := hits.Load() - before; n != 0 {
+			t.Errorf("%s: coordinator dispatched %d requests", name, n)
+		}
+	}
+}

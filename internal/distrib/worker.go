@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
@@ -100,6 +101,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	if req.Count > campaign.MaxShardSize {
 		http.Error(rw, fmt.Sprintf("shard of %d scenarios exceeds the maximum %d", req.Count, campaign.MaxShardSize),
 			http.StatusBadRequest)
+		return
+	}
+	if err := campaign.CheckSimulation(req.Config.Seeds, time.Duration(req.Config.DurationNS)); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// A trace header means the coordinator wants this shard's execution

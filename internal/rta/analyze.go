@@ -2,7 +2,7 @@ package rta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/can"
@@ -25,20 +25,21 @@ func Analyze(msgs []Message, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	memo := newEtaMemo(p.ordered)
+	k := newKernel(p)
 	for i := range p.ordered {
-		p.rep.Results[i] = analyzeOne(p.ordered, p.wire, i, cfg, memo)
-		p.rep.Results[i].Priority = i
+		p.rep.Results[i] = k.analyzeOne(i, 0)
 	}
 	return p.rep, nil
 }
 
 // prepared holds the shared read-only inputs of the per-message
 // analyses: the priority-ordered message set, the wire times under the
-// configured stuffing, and the report skeleton.
+// configured stuffing, the warm-start bound (see resume) and the report
+// skeleton, which echoes the configuration.
 type prepared struct {
 	ordered []Message
 	wire    []time.Duration
+	warmCap time.Duration
 	rep     *Report
 }
 
@@ -61,10 +62,7 @@ func prepare(msgs []Message, cfg Config) (*prepared, error) {
 	}
 	ordered := make([]Message, len(msgs))
 	copy(ordered, msgs)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].Frame.ID.HigherPriorityThan(
-			ordered[j].Frame.ID, ordered[i].Frame.Format, ordered[j].Frame.Format)
-	})
+	slices.SortStableFunc(ordered, byPriority)
 	for i := 1; i < len(ordered); i++ {
 		a, b := ordered[i-1], ordered[i]
 		if a.Frame.ID == b.Frame.ID && a.Frame.Format == b.Frame.Format {
@@ -81,11 +79,48 @@ func prepare(msgs []Message, cfg Config) (*prepared, error) {
 			Config:  cfg,
 		},
 	}
+	var minWire time.Duration
 	for i, m := range ordered {
 		p.wire[i] = cfg.Bus.FrameTime(m.Frame, cfg.Stuffing)
 		p.rep.Utilization += float64(p.wire[i]) / float64(m.Event.Period)
+		if i == 0 || p.wire[i] < minWire {
+			minWire = p.wire[i]
+		}
+	}
+	if wholeErrorCosts(cfg.errors()) {
+		p.warmCap = maxIterations * minWire
 	}
 	return p, nil
+}
+
+// byPriority orders messages by arbitration priority, highest first.
+func byPriority(a, b Message) int {
+	if a.Frame.ID.HigherPriorityThan(b.Frame.ID, a.Frame.Format, b.Frame.Format) {
+		return -1
+	}
+	if b.Frame.ID.HigherPriorityThan(a.Frame.ID, b.Frame.Format, a.Frame.Format) {
+		return 1
+	}
+	return 0
+}
+
+// wholeErrorCosts reports whether the error model charges overhead in
+// whole error costs (ErrorFrame + CMax, never less than a wire time) and
+// grows with CMax: true for the models package errormodel defines,
+// false for any other implementation, whose analyses then run cold.
+func wholeErrorCosts(m errormodel.Model) bool {
+	switch e := m.(type) {
+	case errormodel.None, errormodel.Sporadic, errormodel.Burst:
+		return true
+	case errormodel.Composite:
+		for _, c := range e {
+			if !wholeErrorCosts(c) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // etaMemo caches EtaPlus evaluations across the fixpoint loops, which
@@ -169,33 +204,66 @@ func (m *etaMemo) at(k int, dt time.Duration) int {
 	return int(eta)
 }
 
-// analyzeOne computes the response time of the message at index i of the
-// priority-ordered slice. Apart from the worker-owned memo it is a pure
-// function of its inputs and safe to fan out across goroutines.
-func analyzeOne(ordered []Message, wire []time.Duration, i int, cfg Config, memo *etaMemo) Result {
-	m := ordered[i]
-	horizon := cfg.horizon()
-	errs := cfg.errors()
+// kernel is one worker's state for the per-message analyses: the eta+
+// memo and the level busy period it converged last, which seeds the
+// next rank's busy-period fixpoint. Apart from this state analyzeOne is
+// a pure function of the prepared inputs, so kernels fan out across
+// goroutines; each worker owns one.
+type kernel struct {
+	*prepared
+	memo    *etaMemo
+	errs    errormodel.Model
+	horizon time.Duration
+	bitTime time.Duration
+	// rank is the last rank analysed and busy its converged level busy
+	// period, zero when that analysis produced none.
+	rank int
+	busy time.Duration
+}
 
+func newKernel(p *prepared) *kernel {
+	return &kernel{
+		prepared: p,
+		memo:     newEtaMemo(p.ordered),
+		errs:     p.rep.Config.errors(),
+		horizon:  p.rep.Config.horizon(),
+		bitTime:  p.rep.Config.Bus.BitTime(),
+		rank:     -1,
+	}
+}
+
+// analyzeOne computes the result of the message at rank i. prevBusy,
+// when positive, is the converged level busy period of rank i-1 known
+// to the caller (a cached result); the kernel also remembers the busy
+// period of the rank it analysed last.
+func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
+	if k.rank == i-1 && k.busy > 0 {
+		prevBusy = k.busy
+	}
+	k.rank, k.busy = i, 0
+
+	m := k.ordered[i]
+	cfg := k.rep.Config
 	res := Result{
 		Message:  m,
-		C:        wire[i],
+		Priority: i,
+		C:        k.wire[i],
 		BCRT:     cfg.Bus.FrameTime(m.Frame, can.StuffingNominal),
 		Deadline: cfg.DeadlineModel.Deadline(m),
 	}
 	// Blocking: the longest lower-priority frame that can have just won
 	// arbitration when m is queued.
-	for k := i + 1; k < len(ordered); k++ {
-		if wire[k] > res.Blocking {
-			res.Blocking = wire[k]
+	for j := i + 1; j < len(k.ordered); j++ {
+		if k.wire[j] > res.Blocking {
+			res.Blocking = k.wire[j]
 		}
 	}
 	// Error context: any frame at this priority level or above may be the
 	// one that needs retransmission.
 	ectx := errormodel.Context{ErrorFrame: cfg.Bus.ErrorOverheadTime()}
-	for k := 0; k <= i; k++ {
-		if wire[k] > ectx.CMax {
-			ectx.CMax = wire[k]
+	for j := 0; j <= i; j++ {
+		if k.wire[j] > ectx.CMax {
+			ectx.CMax = k.wire[j]
 		}
 	}
 
@@ -214,10 +282,17 @@ func analyzeOne(ordered []Message, wire []time.Duration, i int, cfg Config, memo
 		return markUnschedulable()
 	}
 
+	// Queueing delay of instance q: the fixpoint of
+	// w = B + q*C_m + E(w + C_m) + sum_{k < i} eta_k+(w + tau_bit) * C_k.
+	queue := func(q int, warm time.Duration) (time.Duration, bool) {
+		base := res.Blocking + time.Duration(q)*res.C
+		return k.resume(base, warm, fixpoint{base: base, errOff: res.C, etaOff: k.bitTime, n: i, ectx: ectx})
+	}
+
 	if cfg.ClassicSingleInstance {
 		res.Instances = 1
 		res.BusyPeriod = res.Blocking + res.C
-		w, ok := queueingDelay(memo, wire, i, 0, res.Blocking, cfg, ectx, horizon)
+		w, ok := queue(0, 0)
 		if !ok {
 			return markUnschedulable()
 		}
@@ -228,20 +303,13 @@ func analyzeOne(ordered []Message, wire []time.Duration, i int, cfg Config, memo
 
 	// Level-i busy period: fixpoint of
 	// L = B + E(L) + sum_{k<=i} eta_k+(L) * C_k.
-	L := res.Blocking + res.C
-	for iter := 0; ; iter++ {
-		next := res.Blocking + errs.Overhead(L, ectx)
-		for k := 0; k <= i; k++ {
-			next += time.Duration(memo.at(k, L)) * wire[k]
-		}
-		if next == L {
-			break
-		}
-		if next > horizon || iter >= maxIterations {
-			return markUnschedulable()
-		}
-		L = next
+	// Rank i-1's busy period, when converged, lies at or below it.
+	L, ok := k.resume(res.Blocking+res.C, prevBusy,
+		fixpoint{base: res.Blocking, n: i + 1, ectx: ectx})
+	if !ok {
+		return markUnschedulable()
 	}
+	k.busy = L
 	res.BusyPeriod = L
 	res.Instances = m.Event.EtaPlus(L)
 	if res.Instances < 1 {
@@ -249,11 +317,15 @@ func analyzeOne(ordered []Message, wire []time.Duration, i int, cfg Config, memo
 	}
 
 	// Examine every instance inside the busy period; the worst response
-	// is not necessarily the first (Davis et al.).
-	var wcrt time.Duration
+	// is not necessarily the first (Davis et al.). Instance q+1's delay
+	// is at least instance q's plus one more own frame.
+	var wcrt, w time.Duration
 	for q := 0; q < res.Instances; q++ {
-		w, ok := queueingDelay(memo, wire, i, q, res.Blocking, cfg, ectx, horizon)
-		if !ok {
+		var warm time.Duration
+		if q > 0 {
+			warm = w + res.C
+		}
+		if w, ok = queue(q, warm); !ok {
 			return markUnschedulable()
 		}
 		r := m.Event.Jitter + w + res.C - time.Duration(q)*m.Event.Period
@@ -266,30 +338,68 @@ func analyzeOne(ordered []Message, wire []time.Duration, i int, cfg Config, memo
 	return res
 }
 
-// queueingDelay solves the fixpoint
+// fixpoint is one of the kernel's iterated functions,
 //
-//	w = B + q*C_m + E(w + C_m) + sum_{k < i} eta_k+(w + tau_bit) * C_k
+//	f(x) = base + E(x + errOff) + sum_{k < n} eta_k+(x + etaOff) * C_k,
 //
-// returning (w, true) or (0, false) if the iteration diverges.
-func queueingDelay(memo *etaMemo, wire []time.Duration, i, q int,
-	blocking time.Duration, cfg Config, ectx errormodel.Context,
-	horizon time.Duration) (time.Duration, bool) {
+// the busy period (errOff = etaOff = 0, n = i+1) or an instance's
+// queueing delay (errOff = C_i, etaOff = tau_bit, n = i).
+type fixpoint struct {
+	base, errOff, etaOff time.Duration
+	n                    int
+	ectx                 errormodel.Context
+}
 
-	errs := cfg.errors()
-	bitTime := cfg.Bus.BitTime()
-	base := blocking + time.Duration(q)*wire[i]
-	w := base
+// iterate runs x <- f(x) from x until f(x) == x, returning (x, true),
+// or (0, false) once an iterate exceeds the horizon or the loop reaches
+// maxIterations.
+func (k *kernel) iterate(x time.Duration, f fixpoint) (time.Duration, bool) {
 	for iter := 0; ; iter++ {
-		next := base + errs.Overhead(w+wire[i], ectx)
-		for k := 0; k < i; k++ {
-			next += time.Duration(memo.at(k, w+bitTime)) * wire[k]
+		next := f.base + k.errs.Overhead(x+f.errOff, f.ectx)
+		for j := 0; j < f.n; j++ {
+			next += time.Duration(k.memo.at(j, x+f.etaOff)) * k.wire[j]
 		}
-		if next == w {
-			return w, true
+		if next == x {
+			return x, true
 		}
-		if next > horizon || iter >= maxIterations {
+		if next > k.horizon || iter >= maxIterations {
 			return 0, false
 		}
-		w = next
+		x = next
 	}
+}
+
+// resume returns exactly what iterate returns from the cold start, but
+// starts from warm when warm lies above it. Callers pass a warm start
+// at or below f's least fixpoint with f(warm) >= warm; f is monotone
+// (E and eta+ are), so the warm iterates climb to the same least
+// fixpoint and each stays at or above the cold iterate of the same
+// step. Hence:
+//
+//   - a warm failure is a cold failure, and stands;
+//   - a warm fixpoint x is the cold one, and the cold iteration reaches
+//     it inside the horizon if x <= horizon, and inside maxIterations if
+//     x - cold <= maxIterations * min wire time: every cold step that
+//     is not the last adds at least one frame or one error cost.
+//
+// When either bound fails (or the error model is not known to pay whole
+// error costs, warmCap == 0) the fixpoint is recomputed cold.
+func (k *kernel) resume(cold, warm time.Duration, f fixpoint) (time.Duration, bool) {
+	if warm > cold && k.warmCap > 0 {
+		x, ok := k.iterate(warm, f)
+		if !ok {
+			return 0, false
+		}
+		if warmExact(x, cold, k.horizon, k.warmCap) {
+			return x, true
+		}
+	}
+	return k.iterate(cold, f)
+}
+
+// warmExact is resume's guard: a warm fixpoint x stands for the cold
+// iteration from cold when that iteration provably reaches it without
+// crossing the horizon or the iteration cap.
+func warmExact(x, cold, horizon, warmCap time.Duration) bool {
+	return x <= horizon && x-cold <= warmCap
 }

@@ -27,6 +27,14 @@
 // optimistic when R may exceed T) is available as an ablation via
 // Config.ClassicSingleInstance.
 //
+// The fixpoints resume where the previous one converged: w_m(q+1)
+// starts from w_m(q) + C_m, and L_m from the busy period of the rank
+// above when the worker holds it. Every iterated function is monotone,
+// so a start at or below the least fixpoint reaches that same fixpoint;
+// a guard falls back to the cold iteration wherever the cold one could
+// end differently (horizon or iteration cap), so reports are
+// bit-identical to cold iteration from the blocking term.
+//
 // This is the formal core of the source paper's Section 3.2: the
 // worst-case message response analysis that replaces bus-load folklore
 // and test equipment in the OEM's integration verification.

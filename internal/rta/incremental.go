@@ -58,16 +58,22 @@ func AnalyzeCached(msgs []Message, cfg Config, cache ResultCache, workers int) (
 		missIdx = append(missIdx, i)
 	}
 	if len(missIdx) > 0 {
-		memos := make([]*etaMemo, parallel.Workers(workers))
+		kernels := make([]*kernel, parallel.Workers(workers))
 		parallel.For(len(missIdx), workers, func(worker, mi int) {
-			memo := memos[worker]
-			if memo == nil {
-				memo = newEtaMemo(p.ordered)
-				memos[worker] = memo
+			k := kernels[worker]
+			if k == nil {
+				k = newKernel(p)
+				kernels[worker] = k
 			}
 			i := missIdx[mi]
-			p.rep.Results[i] = analyzeOne(p.ordered, p.wire, i, cfg, memo)
-			p.rep.Results[i].Priority = i
+			// A cached rank i-1 was written before the fan-out and is
+			// never written during it; its busy period, when it
+			// converged, seeds rank i's.
+			var prevBusy time.Duration
+			if i > 0 && (mi == 0 || missIdx[mi-1] != i-1) && p.rep.Results[i-1].BusyPeriod != Unschedulable {
+				prevBusy = p.rep.Results[i-1].BusyPeriod
+			}
+			p.rep.Results[i] = k.analyzeOne(i, prevBusy)
 		})
 		// Insert in priority order after the fan-out, so the cache's
 		// recency state is independent of goroutine scheduling. Entries

@@ -18,16 +18,14 @@ func AnalyzeParallel(msgs []Message, cfg Config, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(p.ordered)
-	memos := make([]*etaMemo, parallel.Workers(workers))
-	parallel.For(n, workers, func(worker, i int) {
-		memo := memos[worker]
-		if memo == nil {
-			memo = newEtaMemo(p.ordered)
-			memos[worker] = memo
+	kernels := make([]*kernel, parallel.Workers(workers))
+	parallel.For(len(p.ordered), workers, func(worker, i int) {
+		k := kernels[worker]
+		if k == nil {
+			k = newKernel(p)
+			kernels[worker] = k
 		}
-		p.rep.Results[i] = analyzeOne(p.ordered, p.wire, i, cfg, memo)
-		p.rep.Results[i].Priority = i
+		p.rep.Results[i] = k.analyzeOne(i, 0)
 	})
 	return p.rep, nil
 }

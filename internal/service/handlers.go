@@ -64,8 +64,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			var duration time.Duration
 			if duration, err = queryDuration(r, "duration", 200*time.Millisecond); err == nil {
-				s.simulate(w, r, body, index, seeds, duration)
-				return
+				if err = campaign.CheckSimulation(seeds, duration); err == nil {
+					s.simulate(w, r, body, index, seeds, duration)
+					return
+				}
 			}
 		}
 	}
@@ -361,7 +363,9 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 	var seeds int
 	var duration time.Duration
 	if seeds, err = queryInt(r, "seeds", 0); err == nil {
-		duration, err = queryDuration(r, "duration", 0)
+		if duration, err = queryDuration(r, "duration", 0); err == nil {
+			err = campaign.CheckSimulation(seeds, duration)
+		}
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)

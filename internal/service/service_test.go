@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/scenario"
 )
 
@@ -312,6 +313,28 @@ func TestSimulate(t *testing.T) {
 		if status, _ := do(t, "POST", base+"/v1/simulate"+q, testSpec(t, 5)); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
 		}
+	}
+}
+
+// Simulation work is bounded at the edge: more seeds or simulated time
+// than campaign.CheckSimulation allows is refused with 400 before any
+// run starts, so no request holds a worker slot after its answer.
+func TestSimulationBoundedAtEdge(t *testing.T) {
+	_, base := newTestServer(t)
+	for _, route := range []string{"/v1/simulate", "/v1/campaigns"} {
+		for _, q := range []string{
+			"?seeds=4&duration=30000s",
+			fmt.Sprintf("?seeds=%d", campaign.MaxSimSeeds+1),
+			"?duration=" + (campaign.MaxSimDuration + time.Millisecond).String(),
+		} {
+			status, body := do(t, "POST", base+route+q, testSpec(t, 5))
+			if status != http.StatusBadRequest || !strings.Contains(string(body), CodeBadRequest) {
+				t.Errorf("%s%s: %d %s, want 400 %s", route, q, status, body, CodeBadRequest)
+			}
+		}
+	}
+	if n := sample(t, scrape(t, base), "symtago_admission_executing"); n != 0 {
+		t.Errorf("symtago_admission_executing = %v after refused requests, want 0", n)
 	}
 }
 

@@ -22,4 +22,9 @@
 // time). The response is measured from the actual arrival of the
 // instance. The maximum is finite iff the long-run arrival rate does not
 // exceed one instance per cycle.
+//
+// delta- is convex in n, so R_n rises up to the first depth n0 at which
+// arrivals are spaced a cycle apart and the backlog stops growing. The
+// analysis finds n0 by a galloping and a binary search instead of
+// scanning every depth, and returns max(R_1, R_n0).
 package tdma

@@ -174,33 +174,71 @@ func Analyze(msgs []Message, sched Schedule, bus can.Bus, stuffing can.Stuffing)
 }
 
 // analyzeOne maximises R_n = n*cycle + C - delta-(n) over the backlog
-// depth n.
+// depth n. Each deeper instance adds a cycle and subtracts the spacing
+// delta-(n+1) - delta-(n); once that spacing reaches the cycle the
+// backlog cannot grow further and R_n is non-increasing from there on.
+// delta- is a maximum of lines in n, so its spacing never decreases:
+// R_n rises strictly from n = 2 up to n0, the first n > 1 whose spacing
+// reaches the cycle, and the worst response is max(R_1, R_n0), the
+// smaller depth on a tie. A stream with no such n0 <= maxBacklog
+// (arrivals outpace the slot) is unschedulable.
 func analyzeOne(m Message, c, cycle time.Duration) Result {
 	res := Result{Message: m, C: c, Deadline: m.Event.Period}
 	if m.Deadline > 0 {
 		res.Deadline = m.Deadline
 	}
-	best := time.Duration(0)
-	bestN := 0
-	for n := 1; ; n++ {
-		if n > maxBacklog {
-			res.WCRT = Unschedulable
-			res.Schedulable = false
-			return res
-		}
-		r := time.Duration(n)*cycle + c - m.Event.DeltaMin(n)
-		if r > best {
-			best = r
-			bestN = n
-		}
-		// Once arrivals are spaced at least a cycle apart the backlog
-		// cannot grow further and R_n is non-increasing from here on.
-		if spacing := m.Event.DeltaMin(n+1) - m.Event.DeltaMin(n); spacing >= cycle && n > 1 {
-			break
-		}
+	n0, ok := backlogDepth(m.Event, c, cycle)
+	if !ok {
+		res.WCRT = Unschedulable
+		res.Schedulable = false
+		return res
 	}
-	res.WCRT = best
-	res.BacklogInstances = bestN
+	res.WCRT, res.BacklogInstances = cycle+c, 1
+	if r := time.Duration(n0)*cycle + c - m.Event.DeltaMin(n0); r > res.WCRT {
+		res.WCRT, res.BacklogInstances = r, n0
+	}
 	res.Schedulable = res.WCRT <= res.Deadline
 	return res
+}
+
+// backlogDepth returns n0, the first n in (1, maxBacklog] with
+// delta-(n+1) - delta-(n) >= cycle, by a galloping search over n = 2,
+// 4, 8, ... followed by a binary search inside the last doubling; the
+// spacing is non-decreasing in n, so both searches are exact. It never
+// evaluates a depth whose products n*P, n*dmin or n*cycle leave int64:
+// if n0 would lie beyond that, the stream reports no depth, as one
+// whose backlog never drains. For periods and cycles below 2^43 ns that
+// limit is maxBacklog itself.
+func backlogDepth(ev eventmodel.Model, c, cycle time.Duration) (int, bool) {
+	limit := maxBacklog
+	if l := math.MaxInt64 / ev.Period; l < time.Duration(limit) {
+		limit = int(l)
+	}
+	if l := (math.MaxInt64 - c) / cycle; l < time.Duration(limit) {
+		limit = int(l)
+	}
+	if limit < 2 {
+		return 0, false
+	}
+	reaches := func(n int) bool {
+		return ev.DeltaMin(n+1)-ev.DeltaMin(n) >= cycle
+	}
+	// Once the gallop stops, lo does not reach the cycle (n = 1 does not
+	// count) and hi does.
+	lo, hi := 1, 2
+	for !reaches(hi) {
+		if hi == limit {
+			return 0, false
+		}
+		lo, hi = hi, min(2*hi, limit)
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true
 }
