@@ -974,6 +974,7 @@ func BenchmarkRemoteCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(disk.Close)
 		ts := httptest.NewServer(cacheserver.New(disk).Handler())
 		b.Cleanup(ts.Close)
 		return ts.URL

@@ -36,6 +36,7 @@ func cmdCacheServer(args []string) error {
 	if err != nil {
 		return fmt.Errorf("cacheserver: %w", err)
 	}
+	defer disk.Close()
 	startPprof("cacheserver", *pprofAddr)
 
 	srv := cacheserver.New(disk)

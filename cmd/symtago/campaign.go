@@ -93,6 +93,9 @@ func cmdCampaign(args []string) error {
 	if store != nil {
 		cfg.Cache = store
 	}
+	if disk != nil {
+		defer disk.Close()
+	}
 	if remote != nil {
 		// Close flushes the write-behind queue, so a one-shot campaign's
 		// results reach the fleet before the process exits.

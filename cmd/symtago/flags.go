@@ -53,8 +53,9 @@ func remoteCacheFlag(fs *flag.FlagSet) *string {
 // the -cache-dir/-cache-bytes/-remote-cache flags: local disk alone,
 // remote alone, or disk over remote (an L2/L3 stack — remote hits are
 // promoted onto the local disk). All three returns may be nil when
-// both flags are empty; the caller must Close a non-nil remote to
-// flush its write-behind queue.
+// both flags are empty; the caller must Close a non-nil disk to
+// release its segment files, and a non-nil remote to flush its
+// write-behind queue.
 func sharedCache(cacheDir string, cacheBytes int64, remoteURL string) (store cache.Store, disk *cache.Disk, remote *cache.Remote, err error) {
 	if cacheDir != "" {
 		if disk, err = cache.NewDisk(cacheDir, cacheBytes); err != nil {

@@ -42,6 +42,9 @@ func cmdWorker(args []string) error {
 	if store != nil {
 		wcfg.Cache = store
 	}
+	if disk != nil {
+		defer disk.Close()
+	}
 	if remote != nil {
 		// Close flushes the write-behind queue so results computed on
 		// this worker reach the fleet tier before the process exits.

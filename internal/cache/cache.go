@@ -76,10 +76,10 @@ type Stats struct {
 	// (in-process level).
 	Cost, Capacity int
 
-	// Bytes is the resident record total and MaxBytes the byte budget
-	// (disk level).
+	// Bytes is the disk level's segment total, entry prefixes and
+	// entries no longer indexed included, and MaxBytes its byte budget.
 	Bytes, MaxBytes int64
-	// Corrupt counts records dropped as unreadable (truncation, crc
+	// Corrupt counts entries dropped as unreadable (truncation, crc
 	// mismatch, version skew) — each read as a miss.
 	Corrupt uint64
 	// Skipped counts Puts of values the wire codec does not carry.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,10 +135,17 @@ func TestCodecRefusals(t *testing.T) {
 
 func newTestDisk(t *testing.T, maxBytes int64) *Disk {
 	t.Helper()
-	d, err := NewDisk(t.TempDir(), maxBytes)
+	return openTestDisk(t, t.TempDir(), maxBytes)
+}
+
+// openTestDisk opens a Disk over dir that the test closes at cleanup.
+func openTestDisk(t *testing.T, dir string, maxBytes int64) *Disk {
+	t.Helper()
+	d, err := NewDisk(dir, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.Close)
 	return d
 }
 
@@ -155,10 +163,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		}
 	}
 	// A second store over the same directory sees the records.
-	d2, err := NewDisk(d.Dir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := openTestDisk(t, d.Dir(), 0)
 	st := d2.Stats()
 	if st.Entries != len(sampleValues()) || st.Bytes == 0 {
 		t.Fatalf("reopened store stats = %+v", st)
@@ -168,43 +173,55 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// recordPath returns the single record file under the store for key.
-func recordPath(t *testing.T, d *Disk, key contenthash.Digest) string {
+// entryAt locates key's entry by its key bytes inside the store's
+// segments: the segment's path and the entry's offset. The entry's
+// record starts entryPrefixLen bytes later.
+func entryAt(t *testing.T, dir string, key contenthash.Digest) (string, int64) {
 	t.Helper()
-	path := filepath.Join(d.Dir(), key.String()[:2], key.String()+recordSuffix)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("record not on disk: %v", err)
+	paths, _ := filepath.Glob(filepath.Join(dir, "*"+segmentSuffix))
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		if i := bytes.Index(raw, key[:]); i >= 0 {
+			return path, int64(i)
+		}
 	}
-	return path
+	t.Fatalf("no entry for %v in %s", key, dir)
+	return "", 0
 }
 
 // TestDiskCorruptionPaths: truncated records, flipped payload bytes and
-// version skew each degrade to a counted miss and the bad record is
-// dropped — never a wrong hit, never a crash.
+// version skew each degrade to a counted miss and the bad entry is
+// unindexed — never a wrong hit, never a crash — and a new Put of the
+// key serves again.
 func TestDiskCorruptionPaths(t *testing.T) {
+	rec, _ := EncodeRecord(sampleRTAResult())
 	corruptions := []struct {
-		name   string
-		mangle func([]byte) []byte
+		name string
+		// mangle edits a segment whose record starts at byte r.
+		mangle func(seg []byte, r int) []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"empty", func(b []byte) []byte { return nil }},
-		{"bad-crc", func(b []byte) []byte {
-			b[len(b)-1] ^= 0xFF
+		{"truncated", func(b []byte, r int) []byte { return b[:r+len(rec)/2] }},
+		{"empty", func(b []byte, r int) []byte { return b[:r] }},
+		{"bad-crc", func(b []byte, r int) []byte {
+			b[r+len(rec)-1] ^= 0xFF
 			return b
 		}},
-		{"version-skew", func(b []byte) []byte {
-			b[4], b[5] = 0xEE, 0xEE
+		{"version-skew", func(b []byte, r int) []byte {
+			b[r+4], b[r+5] = 0xEE, 0xEE
 			return b
 		}},
-		{"bad-magic", func(b []byte) []byte {
-			b[0] ^= 0xFF
+		{"bad-magic", func(b []byte, r int) []byte {
+			b[r] ^= 0xFF
 			return b
 		}},
-		{"bad-type-tag", func(b []byte) []byte {
+		{"bad-type-tag", func(b []byte, r int) []byte {
 			// Flip the payload type byte and refresh nothing else: the
 			// crc now mismatches, which is exactly the point — payload
 			// edits cannot slip through.
-			b[diskHeaderLen] = 0x7F
+			b[r+diskHeaderLen] = 0x7F
 			return b
 		}},
 	}
@@ -213,25 +230,25 @@ func TestDiskCorruptionPaths(t *testing.T) {
 			d := newTestDisk(t, 0)
 			key := digestOf(1)
 			d.Put(key, sampleRTAResult())
-			path := recordPath(t, d, key)
+			path, off := entryAt(t, d.Dir(), key)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.mangle(raw), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.mangle(raw, int(off)+entryPrefixLen), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if v, ok := d.Get(key); ok {
 				t.Fatalf("corrupt record returned a hit: %#v", v)
 			}
 			st := d.Stats()
-			if st.Corrupt != 1 {
-				t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
+			if st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("corrupt/misses = %d/%d, want 1/1", st.Corrupt, st.Misses)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatal("corrupt record not dropped")
+			if st.Entries != 0 {
+				t.Fatal("corrupt entry not unindexed")
 			}
-			// The slot is reusable: a fresh Put serves hits again.
+			// The key is reusable: a fresh Put serves hits again.
 			d.Put(key, sampleRTAResult())
 			if _, ok := d.Get(key); !ok {
 				t.Fatal("re-Put after corruption drop did not serve")
@@ -240,20 +257,17 @@ func TestDiskCorruptionPaths(t *testing.T) {
 	}
 }
 
-// TestDiskGC: exceeding the byte budget deletes oldest records first
-// and the store keeps serving the survivors.
+// TestDiskGC: exceeding the byte budget deletes the oldest segments
+// first, their files included, and the store keeps serving the
+// survivors.
 func TestDiskGC(t *testing.T) {
 	rep := sampleRTAReport(nil)
 	payload, _ := Encode(rep)
 	recLen := int64(len(encodeRecord(payload)))
-	// Budget for ~8 records; write 32 with strictly increasing mtimes.
+	// Budget for ~8 records; a segment holds one entry.
 	d := newTestDisk(t, 8*recLen)
-	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 32; i++ {
-		key := digestOf(uint64(i))
-		d.Put(key, rep)
-		mt := base.Add(time.Duration(i) * time.Second)
-		os.Chtimes(recordPath(t, d, key), mt, mt)
+		d.Put(digestOf(uint64(i)), rep)
 	}
 	st := d.Stats()
 	if st.Evictions == 0 || st.Bytes > st.MaxBytes {
@@ -265,10 +279,20 @@ func TestDiskGC(t *testing.T) {
 	if _, ok := d.Get(digestOf(0)); ok {
 		t.Fatal("oldest record survived a full-budget GC")
 	}
+	// Every survivor is newer than every evicted record.
+	for i := 0; i < 32; i++ {
+		if _, ok := d.Get(digestOf(uint64(i))); ok != (i >= 32-st.Entries) {
+			t.Fatalf("record %d: hit=%v with the %d newest resident", i, ok, st.Entries)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(d.Dir(), "*"+segmentSuffix)); len(segs) != st.Entries {
+		t.Fatalf("%d segment files for %d resident one-entry segments", len(segs), st.Entries)
+	}
 }
 
 // TestDiskGCvsGet hammers Get on keys that a concurrent GC is
-// deleting: every outcome must be a correct value or a miss.
+// deleting: every outcome must be a correct value or a plain miss,
+// never a quarantine.
 func TestDiskGCvsGet(t *testing.T) {
 	rep := sampleRTAReport(nil)
 	payload, _ := Encode(rep)
@@ -288,10 +312,10 @@ func TestDiskGCvsGet(t *testing.T) {
 			d.gc()
 		}
 	}()
-	for {
+	for running := true; running; {
 		select {
 		case <-done:
-			return
+			running = false
 		default:
 		}
 		for i := 0; i < keys; i++ {
@@ -301,6 +325,9 @@ func TestDiskGCvsGet(t *testing.T) {
 				}
 			}
 		}
+	}
+	if c := d.Stats().Corrupt; c != 0 {
+		t.Fatalf("%d reads racing GC were quarantined, want plain misses", c)
 	}
 }
 

@@ -1,15 +1,20 @@
 package cache
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/contenthash"
 )
@@ -20,24 +25,41 @@ const DefaultDiskBytes int64 = 256 << 20
 
 // Record header layout (little-endian): magic, format version, payload
 // crc, payload length, then the codec payload. Anything that does not
-// parse — wrong magic, skewed version, short file, crc mismatch,
+// parse — wrong magic, skewed version, short record, crc mismatch,
 // undecodable payload — is dropped and read as a miss.
 const (
 	diskMagic     uint32 = 0x324C5953 // "SYL2"
 	diskHeaderLen        = 4 + 2 + 2 + 4 + 4
-	recordSuffix         = ".rec"
-	tmpPrefix            = "put-"
 )
 
-// Disk is the shared on-disk level of the hierarchy: one crc-checked
-// versioned record per digest, fanned out over 256 two-hex-digit
-// subdirectories so a fleet-sized store never piles millions of files
-// into one directory. Writes go through a temp file and an atomic
-// rename, so concurrent readers (including other processes sharing the
-// directory) see either the whole record or none of it; a size-bounded
-// GC deletes oldest-first once the byte budget is exceeded. Every
-// degraded path — truncation, corruption, version skew, a record GC'd
-// mid-read — degrades to a miss, never a wrong hit or a crash.
+// Segment entry layout: the 16-byte digest, a crc32 (IEEE, little-endian)
+// over the digest and the record header, then the record. The entry crc
+// covers the key so that a flipped key bit cannot serve a valid record
+// under the wrong digest, and it covers the header so that a payload
+// length is trusted only once the crc has validated it.
+const (
+	keyLen         = len(contenthash.Digest{})
+	entryPrefixLen = keyLen + 4
+	entryHeaderLen = entryPrefixLen + diskHeaderLen
+	segmentSuffix  = ".seg"
+)
+
+// errAbsent is a plain miss: the key is not indexed, the store is
+// closed, or a read raced GC or Close. Every other lookup error marks
+// a corrupt entry.
+var errAbsent = errors.New("cache: no record")
+
+// Disk is the shared on-disk level of the hierarchy: an append-only
+// log of crc-checked versioned records in segment files, with an
+// in-memory index from digest to entry. Each Disk appends only to
+// segments it created itself, rotating to a new one at 1/8 of the byte
+// budget; it reads every other segment in the directory, written by
+// earlier or concurrent processes, through read-only descriptors.
+// Records another live process appends become visible at the next
+// NewDisk. A size-bounded GC deletes whole segments, oldest first,
+// once the byte budget is exceeded. Every degraded path — a torn or
+// corrupt entry, version skew, a read racing GC or Close — degrades to
+// a miss, never a wrong hit or a crash.
 //
 // Disk is safe for concurrent use and implements Store and Leveled
 // (the disk is its own primary level when used standalone).
@@ -45,22 +67,47 @@ type Disk struct {
 	dir      string
 	maxBytes int64
 
-	mu        sync.Mutex
-	bytes     int64
-	entries   int
+	// wmu serialises appends, segment rotation, GC and Close; active
+	// is the segment appends go to (nil until the first Put).
+	wmu    sync.Mutex
+	active *segment
+
+	mu     sync.Mutex
+	index  map[contenthash.Digest]entryLoc
+	segs   []*segment // by segment number, oldest first; nil once deleted
+	closed bool
+	bytes  int64
+
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	corrupt   uint64
 	skipped   uint64
+}
 
-	gcMu sync.Mutex
+// segment is one open segment file. size counts every byte this Disk
+// knows in it, dead entries and a torn tail included.
+type segment struct {
+	f    *os.File
+	num  uint32
+	size int64
+}
+
+// entryLoc locates an entry. It holds no pointers, so the Go GC never
+// scans the index.
+type entryLoc struct {
+	off  int64
+	plen uint32 // payload length; the entry spans entryHeaderLen+plen bytes
+	seg  uint32
 }
 
 // NewDisk opens (or creates) an on-disk store rooted at dir, holding
-// at most maxBytes of records (<= 0 selects DefaultDiskBytes). An
-// existing directory is inventoried so restarts resume with the
-// already-persisted population.
+// at most maxBytes of segments (<= 0 selects DefaultDiskBytes). The
+// directory's segments are read once and every entry whose entry crc
+// and payload crc hold is indexed, so restarts resume with the
+// already-persisted population. Files other than segments, including
+// the one-file-per-record layout of earlier versions (??/*.rec), are
+// ignored and left alone.
 func NewDisk(dir string, maxBytes int64) (*Disk, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultDiskBytes
@@ -68,66 +115,150 @@ func NewDisk(dir string, maxBytes int64) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: disk store: %w", err)
 	}
-	d := &Disk{dir: dir, maxBytes: maxBytes}
-	err := filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() || !strings.HasSuffix(de.Name(), recordSuffix) {
-			return nil
-		}
-		if info, ierr := de.Info(); ierr == nil {
-			d.bytes += info.Size()
-			d.entries++
-		}
-		return nil
-	})
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: disk store: %w", err)
 	}
+	d := &Disk{dir: dir, maxBytes: maxBytes, index: map[contenthash.Digest]entryLoc{}}
+	// ReadDir sorts by name, and a segment's name starts with its
+	// creation time: segments load oldest first, a later entry for a
+	// digest replaces an earlier one, and GC order is creation order.
+	for _, de := range des {
+		if de.Type().IsRegular() && strings.HasSuffix(de.Name(), segmentSuffix) {
+			d.load(filepath.Join(dir, de.Name()))
+		}
+	}
 	return d, nil
+}
+
+// load indexes one existing segment. It is opened read-only: a Disk
+// never writes to a segment it did not create. One that cannot be
+// opened is skipped.
+func (d *Disk) load(path string) {
+	f, err := os.Open(path)
+	if err != nil {
+		return
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return
+	}
+	s := &segment{f: f, num: uint32(len(d.segs)), size: info.Size()}
+	scanSegment(io.NewSectionReader(f, 0, s.size), s.size, func(key contenthash.Digest, off int64, plen uint32) {
+		d.index[key] = entryLoc{off: off, plen: plen, seg: s.num}
+	})
+	d.segs = append(d.segs, s)
+	d.bytes += s.size
+}
+
+// scanSegment walks a segment of size bytes from its start and calls
+// index for every entry whose framing and payload crc hold. An entry
+// that fails only its record checks (a payload crc mismatch, codec
+// version skew) is skipped; the walk stops at the first torn or corrupt
+// entry header, or at a length that runs past the end, because nothing
+// after it can be framed. It reads each byte at most once.
+func scanSegment(r io.Reader, size int64, index func(key contenthash.Digest, off int64, plen uint32)) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	buf := make([]byte, entryHeaderLen, 512)
+	for off := int64(0); ; {
+		if _, err := io.ReadFull(br, buf[:entryHeaderLen]); err != nil {
+			return
+		}
+		if binary.LittleEndian.Uint32(buf[keyLen:]) != entryCRC(buf) {
+			return
+		}
+		plen := binary.LittleEndian.Uint32(buf[entryPrefixLen+12:])
+		n := int64(entryHeaderLen) + int64(plen)
+		if n > size-off {
+			return
+		}
+		if int64(cap(buf)) < n {
+			grown := make([]byte, n)
+			copy(grown, buf[:entryHeaderLen])
+			buf = grown
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(br, buf[entryHeaderLen:]); err != nil {
+			return
+		}
+		if _, err := recordPayload(buf[entryPrefixLen:]); err == nil {
+			index(contenthash.Digest(buf[:keyLen]), off, plen)
+		}
+		off += n
+	}
+}
+
+// entryCRC is the crc of an entry's digest and record header.
+func entryCRC(entry []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(entry[:keyLen]), crc32.IEEETable, entry[entryPrefixLen:entryHeaderLen])
 }
 
 // Dir returns the store's root directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// path fans records out by the first two hex digits of the digest.
-func (d *Disk) path(key contenthash.Digest) string {
-	hex := key.String()
-	return filepath.Join(d.dir, hex[:2], hex+recordSuffix)
-}
-
-// Get reads, validates and decodes the record stored under key. A
-// missing file is a plain miss; an invalid one is dropped and counted
-// in Corrupt.
-func (d *Disk) Get(key contenthash.Digest) (any, bool) {
-	path := d.path(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		d.mu.Lock()
-		d.misses++
-		d.mu.Unlock()
-		return nil, false
-	}
-	v, err := decodeRecord(raw)
-	if err != nil {
-		d.drop(path, int64(len(raw)))
-		return nil, false
-	}
+// lookup reads key's entry with one ReadAt and returns its validated
+// record. The error is errAbsent for a plain miss; any other error
+// marks the entry at l as corrupt — a short read included, since only
+// a truncated segment ends before an indexed entry.
+func (d *Disk) lookup(key contenthash.Digest) ([]byte, entryLoc, error) {
 	d.mu.Lock()
-	d.hits++
+	l, ok := d.index[key]
+	var f *os.File
+	if ok && !d.closed {
+		f = d.segs[l.seg].f
+	}
 	d.mu.Unlock()
-	return v, true
+	if f == nil {
+		return nil, l, errAbsent
+	}
+	entry := make([]byte, int64(entryHeaderLen)+int64(l.plen))
+	if n, err := f.ReadAt(entry, l.off); n < len(entry) {
+		if errors.Is(err, io.EOF) {
+			return nil, l, fmt.Errorf("cache: entry truncated at %d of %d bytes", n, len(entry))
+		}
+		return nil, l, errAbsent
+	}
+	if !bytes.Equal(entry[:keyLen], key[:]) || binary.LittleEndian.Uint32(entry[keyLen:]) != entryCRC(entry) {
+		return nil, l, fmt.Errorf("cache: entry header for %v fails its crc", key)
+	}
+	rec := entry[entryPrefixLen:]
+	if _, err := recordPayload(rec); err != nil {
+		return nil, l, err
+	}
+	return rec, l, nil
 }
 
-// drop removes an unreadable record and counts it as a corrupt miss.
-func (d *Disk) drop(path string, size int64) {
-	removed := os.Remove(path) == nil
+// count books a lookup outcome and reports whether it was a hit. A
+// corrupt entry is unindexed, unless a newer entry replaced it; its
+// bytes stay in their segment until GC deletes the segment.
+func (d *Disk) count(key contenthash.Digest, l entryLoc, err error) bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err == nil {
+		d.hits++
+		return true
+	}
+	if err != errAbsent {
+		if d.index[key] == l {
+			delete(d.index, key)
+		}
+		d.corrupt++
+	}
 	d.misses++
-	d.corrupt++
-	if removed {
-		d.bytes -= size
-		d.entries--
+	return false
+}
+
+// Get reads, validates and decodes the record stored under key. An
+// absent key is a plain miss; an invalid entry is unindexed and
+// counted in Corrupt.
+func (d *Disk) Get(key contenthash.Digest) (any, bool) {
+	rec, l, err := d.lookup(key)
+	var v any
+	if err == nil {
+		v, err = Decode(rec[diskHeaderLen:])
 	}
-	d.mu.Unlock()
+	return v, d.count(key, l, err)
 }
 
 // recordPayload validates a record's framing (magic, version, length,
@@ -199,14 +330,10 @@ func encodeRecord(payload []byte) []byte {
 }
 
 // Put persists a value under key. Encoding is skipped for values the
-// wire format does not carry; an existing record is left alone (equal
+// wire format does not carry; an indexed key is left alone (equal
 // digests imply equal converged values). Exceeding the byte budget
 // triggers an oldest-first GC.
 func (d *Disk) Put(key contenthash.Digest, value any) {
-	path := d.path(key)
-	if _, err := os.Stat(path); err == nil {
-		return
-	}
 	payload, ok := Encode(value)
 	if !ok {
 		d.mu.Lock()
@@ -214,154 +341,172 @@ func (d *Disk) Put(key contenthash.Digest, value any) {
 		d.mu.Unlock()
 		return
 	}
-	d.writeRecord(path, encodeRecord(payload))
+	d.append(key, encodeRecord(payload))
 }
 
 // GetRecord returns the raw validated record bytes stored under key —
 // the server side of the remote tier, which passes records through
 // byte-for-byte instead of decoding them. Framing and crc are verified
-// before the bytes leave the store; an invalid record is quarantined
+// before the bytes leave the store; an invalid entry is quarantined
 // exactly as in Get.
 func (d *Disk) GetRecord(key contenthash.Digest) ([]byte, bool) {
-	path := d.path(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		d.mu.Lock()
-		d.misses++
-		d.mu.Unlock()
+	rec, l, err := d.lookup(key)
+	if !d.count(key, l, err) {
 		return nil, false
 	}
-	if _, err := recordPayload(raw); err != nil {
-		d.drop(path, int64(len(raw)))
-		return nil, false
-	}
-	d.mu.Lock()
-	d.hits++
-	d.mu.Unlock()
-	return raw, true
+	return rec, true
 }
 
 // PutRecord persists pre-framed record bytes under key, after verifying
 // the framing and crc (the caller is a wire peer; its bytes are never
-// trusted). An existing record is left alone.
+// trusted). An indexed key is left alone.
 func (d *Disk) PutRecord(key contenthash.Digest, rec []byte) error {
 	if err := VerifyRecord(rec); err != nil {
 		return err
 	}
-	path := d.path(key)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	d.writeRecord(path, rec)
+	d.append(key, rec)
 	return nil
 }
 
 // HasRecord reports whether a valid record exists under key without
-// reading it past validation (the HEAD side of the remote protocol).
+// decoding it (the HEAD side of the remote protocol). Only a corrupt
+// entry moves the counters.
 func (d *Disk) HasRecord(key contenthash.Digest) bool {
-	raw, err := os.ReadFile(d.path(key))
-	if err != nil {
-		return false
+	_, l, err := d.lookup(key)
+	if err != nil && err != errAbsent {
+		d.count(key, l, err)
 	}
-	if _, err := recordPayload(raw); err != nil {
-		d.drop(d.path(key), int64(len(raw)))
-		return false
-	}
-	return true
+	return err == nil
 }
 
-// writeRecord installs record bytes at path through a temp file and an
-// atomic rename, then runs GC if the budget is exceeded.
-func (d *Disk) writeRecord(path string, rec []byte) {
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(shard, tmpPrefix+"*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(rec)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	var over bool
+// append writes key's entry at the end of this Disk's own segment and
+// indexes it, unless key is already indexed or the store is closed,
+// then runs GC if the budget is exceeded. A failed write indexes
+// nothing, and the next append overwrites its bytes.
+func (d *Disk) append(key contenthash.Digest, rec []byte) {
+	entry := make([]byte, entryPrefixLen+len(rec))
+	copy(entry, key[:])
+	copy(entry[entryPrefixLen:], rec)
+	binary.LittleEndian.PutUint32(entry[keyLen:], entryCRC(entry))
+
+	d.wmu.Lock()
 	d.mu.Lock()
-	d.bytes += int64(len(rec))
-	d.entries++
-	over = d.bytes > d.maxBytes
+	_, dup := d.index[key]
+	closed := d.closed
 	d.mu.Unlock()
+	var over bool
+	if !dup && !closed {
+		if s, err := d.writable(int64(len(entry))); err == nil {
+			if _, err := s.f.WriteAt(entry, s.size); err == nil {
+				d.mu.Lock()
+				d.index[key] = entryLoc{off: s.size, plen: uint32(len(rec) - diskHeaderLen), seg: s.num}
+				s.size += int64(len(entry))
+				d.bytes += int64(len(entry))
+				over = d.bytes > d.maxBytes
+				d.mu.Unlock()
+			}
+		}
+	}
+	d.wmu.Unlock()
 	if over {
 		d.gc()
 	}
 }
 
-// gc deletes records oldest-first until the store is comfortably under
-// budget (7/8 of it, so a hot Put stream does not GC per record).
-// Concurrent Gets race benignly: a reader either opened the file
-// before the unlink or takes a miss.
-func (d *Disk) gc() {
-	d.gcMu.Lock()
-	defer d.gcMu.Unlock()
-	target := d.maxBytes - d.maxBytes/8
+// writable returns the segment an n-byte entry is appended to,
+// creating a new one when there is none yet or the entry would take
+// the current one past 1/8 of the budget. The caller holds wmu.
+func (d *Disk) writable(n int64) (*segment, error) {
+	if s := d.active; s != nil && (s.size == 0 || s.size+n <= d.maxBytes/8) {
+		return s, nil
+	}
+	f, err := createSegment(d.dir)
+	if err != nil {
+		return nil, err
+	}
 	d.mu.Lock()
-	over := d.bytes > d.maxBytes
+	s := &segment{f: f, num: uint32(len(d.segs))}
+	d.segs = append(d.segs, s)
 	d.mu.Unlock()
-	if !over {
+	d.active = s
+	return s, nil
+}
+
+// createSegment creates a new, empty segment file in dir. Its name is
+// its creation time in fixed-width hex, so names sort oldest first,
+// plus a random suffix that keeps concurrent writers apart.
+func createSegment(dir string) (*os.File, error) {
+	for {
+		name := fmt.Sprintf("%016x-%08x%s", uint64(time.Now().UnixNano()), rand.Uint32(), segmentSuffix)
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
+}
+
+// gc deletes whole segments, oldest first, until the store is
+// comfortably under budget (7/8 of it, so a hot Put stream does not GC
+// per entry), and unindexes every entry they held. A segment another
+// Disk is still appending to goes the same way; that Disk keeps
+// reading it through its open descriptor. A Get racing the deletion
+// reads the right bytes or fails its read on the closed file, a plain
+// miss.
+func (d *Disk) gc() {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	target := d.maxBytes - d.maxBytes/8
+	var victims []*segment
+	d.mu.Lock()
+	if d.bytes > d.maxBytes && !d.closed {
+		for i, s := range d.segs {
+			if d.bytes <= target {
+				break
+			}
+			if s == nil {
+				continue
+			}
+			victims = append(victims, s)
+			d.segs[i] = nil
+			d.bytes -= s.size
+			if s == d.active {
+				d.active = nil
+			}
+		}
+		if len(victims) > 0 {
+			for key, l := range d.index {
+				if d.segs[l.seg] == nil {
+					delete(d.index, key)
+					d.evictions++
+				}
+			}
+		}
+	}
+	d.mu.Unlock()
+	for _, s := range victims {
+		s.f.Close()
+		os.Remove(s.f.Name())
+	}
+}
+
+// Close closes every segment file. Afterwards Get, GetRecord and
+// HasRecord miss and Put and PutRecord store nothing; the segments
+// stay on disk for the next NewDisk. Close is idempotent.
+func (d *Disk) Close() {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
 		return
 	}
-	type rec struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var recs []rec
-	filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() || !strings.HasSuffix(de.Name(), recordSuffix) {
-			return nil
-		}
-		if info, ierr := de.Info(); ierr == nil {
-			recs = append(recs, rec{path: path, size: info.Size(), mtime: info.ModTime().UnixNano()})
-		}
-		return nil
-	})
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].mtime != recs[j].mtime {
-			return recs[i].mtime < recs[j].mtime
-		}
-		return recs[i].path < recs[j].path
-	})
-	// The walk snapshot decides how much to delete; the shared counters
-	// are adjusted by delta only. Writing the snapshot back absolutely
-	// (as this GC originally did) races with concurrent Puts and
-	// corrupt-record drops between the walk and the write-back: their
-	// increments and decrements were silently erased, so the resident
-	// total drifted and a later GC triggered too early or never.
-	var total int64
-	for _, r := range recs {
-		total += r.size
-	}
-	removedBytes, removed := int64(0), 0
-	for _, r := range recs {
-		if total-removedBytes <= target {
-			break
-		}
-		// A reader racing on an in-GC record is benign: it either opened
-		// the file before this unlink or takes a plain miss. Only a
-		// successful remove is accounted, so a record concurrently
-		// quarantined by drop() is never double-subtracted.
-		if os.Remove(r.path) == nil {
-			removedBytes += r.size
-			removed++
+	d.closed = true
+	d.active = nil
+	for _, s := range d.segs {
+		if s != nil {
+			s.f.Close()
 		}
 	}
-	d.mu.Lock()
-	d.bytes -= removedBytes
-	d.entries -= removed
-	d.evictions += uint64(removed)
-	d.mu.Unlock()
 }
 
 // GetLeveled implements Leveled; a standalone Disk is its own primary
@@ -377,13 +522,14 @@ func (d *Disk) GetPrimary(key contenthash.Digest) (any, bool) { return d.Get(key
 // PutPrimary implements Leveled.
 func (d *Disk) PutPrimary(key contenthash.Digest, value any) { d.Put(key, value) }
 
-// Stats returns a snapshot of the store counters.
+// Stats returns a snapshot of the store counters. Bytes counts segment
+// bytes: entry prefixes and entries no longer indexed included.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return Stats{
 		Hits: d.hits, Misses: d.misses, Evictions: d.evictions,
-		Entries: d.entries, Bytes: d.bytes, MaxBytes: d.maxBytes,
+		Entries: len(d.index), Bytes: d.bytes, MaxBytes: d.maxBytes,
 		Corrupt: d.corrupt, Skipped: d.skipped,
 	}
 }

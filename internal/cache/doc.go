@@ -8,10 +8,10 @@
 //
 // Three implementations compose into a two-level hierarchy: LRU is the
 // in-process cost-weighted level every what-if session memoizes into,
-// Disk is a shared on-disk level holding crc-checked versioned binary records in
-// sharded content-addressed directories, and Tiered stacks one over
-// the other with promotion on second-level hits and write-through on
-// Put. Eviction, corruption and version skew never affect correctness:
+// Disk is a shared on-disk level holding crc-checked versioned binary
+// records in append-only segment files, indexed by digest in memory,
+// and Tiered stacks one over the other with promotion on second-level
+// hits and write-through on Put. Eviction, corruption and version skew never affect correctness:
 // every degraded path reads as a miss and the caller recomputes from
 // the same inputs.
 package cache

@@ -7,15 +7,11 @@ import (
 	"testing"
 )
 
-// TestDiskGCAccountingRace is the regression test for the GC
-// accounting fix: the GC used to write its walk snapshot back into the
-// shared bytes/entries counters absolutely, erasing whatever
-// concurrent Puts and corrupt-record drops had added or subtracted
-// between the walk and the write-back. The counters then drifted from
-// the directory's true contents, so later GCs fired too early or never.
-// Here GC runs interleaved with Puts of fresh keys and with reads of
-// the oldest records (the ones GC is unlinking); after quiescence the
-// in-memory accounting must match a byte-exact rescan of the directory.
+// TestDiskGCAccountingRace: GC runs interleaved with Puts of fresh
+// keys, with reads of the oldest records (the segments GC deletes
+// first) and with one corrupt-entry quarantine. After quiescence the
+// live Bytes and Entries must equal a rescan of the directory; a drift
+// would make later GCs fire too early or never.
 func TestDiskGCAccountingRace(t *testing.T) {
 	rep := sampleRTAReport(nil)
 	payload, _ := Encode(rep)
@@ -51,8 +47,7 @@ func TestDiskGCAccountingRace(t *testing.T) {
 			}
 		}
 	}()
-	// Writers keep pushing records while GCs run on every overflow, so
-	// the old absolute write-back would constantly lose their deltas.
+	// Writers keep pushing records while GCs run on every overflow.
 	writersWG.Add(writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
@@ -66,13 +61,18 @@ func TestDiskGCAccountingRace(t *testing.T) {
 		}(w)
 	}
 	// One corrupt record mid-flight exercises the quarantine path's
-	// accounting (drop() subtracts exactly once) under the same race.
+	// accounting under the same race.
 	quarantined := digestOf(999_999)
 	d.Put(quarantined, rep)
-	path := recordPath(t, d, quarantined)
-	if raw, err := os.ReadFile(path); err == nil && len(raw) > 0 {
-		raw[len(raw)-1] ^= 0xFF
-		os.WriteFile(path, raw, 0o644)
+	path, off := entryAt(t, d.Dir(), quarantined)
+	if f, err := os.OpenFile(path, os.O_RDWR, 0); err == nil {
+		last := off + int64(entryPrefixLen) + recLen - 1
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], last); err == nil {
+			b[0] ^= 0xFF
+			f.WriteAt(b[:], last)
+		}
+		f.Close()
 	}
 	d.Get(quarantined) // quarantines (unless GC removed it first)
 
@@ -84,10 +84,7 @@ func TestDiskGCAccountingRace(t *testing.T) {
 	d.gc()
 
 	// The ground truth: reopen the directory and rescan.
-	fresh, err := NewDisk(d.Dir(), 6*recLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := openTestDisk(t, d.Dir(), 6*recLen)
 	got, want := d.Stats(), fresh.Stats()
 	if got.Bytes != want.Bytes || got.Entries != want.Entries {
 		t.Fatalf("accounting drifted from the directory: live %d B / %d entries, rescan %d B / %d entries",

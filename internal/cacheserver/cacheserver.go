@@ -22,7 +22,8 @@ import (
 //	GET  /metrics         Prometheus text exposition
 //
 // The digest is the 32-hex content hash; the body is the versioned
-// crc-framed record format of cache.Disk, passed through byte-for-byte.
+// crc-framed record format of cache.Disk, passed through byte-for-byte
+// (the store keeps it whole inside a segment entry).
 // A PUT that fails validation (bad magic, version skew, crc mismatch,
 // undecodable payload) is refused with 422 — the store only ever holds
 // records every fleet member can read. Create with New, expose with
@@ -183,7 +184,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.disk.Stats()
 	p.Family("symtago_cacheserver_disk_entries", "gauge", "Resident records in the backing store.")
 	p.Uint("symtago_cacheserver_disk_entries", nil, uint64(st.Entries))
-	p.Family("symtago_cacheserver_disk_bytes", "gauge", "Resident record bytes in the backing store.")
+	p.Family("symtago_cacheserver_disk_bytes", "gauge", "Segment bytes of the backing store, entry prefixes and unindexed entries included.")
 	p.Uint("symtago_cacheserver_disk_bytes", nil, uint64(st.Bytes))
 	p.Family("symtago_cacheserver_disk_max_bytes", "gauge", "Backing store byte budget.")
 	p.Uint("symtago_cacheserver_disk_max_bytes", nil, uint64(st.MaxBytes))

@@ -23,6 +23,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	srv := New(disk)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -166,16 +167,26 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatalf("healthz: %v %v", err, resp)
 	}
 
-	// Rot the record on disk; the next GET quarantines it.
-	dir := srv.Disk().Dir()
-	path := filepath.Join(dir, key.String()[:2], key.String()+".rec")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Rot the record's last byte on disk, found by the key bytes that
+	// head its segment entry (key and entry crc, 20 bytes, then the
+	// record); the next GET quarantines it.
+	segs, _ := filepath.Glob(filepath.Join(srv.Disk().Dir(), "*.seg"))
+	rotted := false
+	for _, path := range segs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(raw, key[:]); i >= 0 {
+			raw[i+20+len(rec)-1] ^= 0xFF
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rotted = true
+		}
 	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	if !rotted {
+		t.Fatal("stored record not found in any segment")
 	}
 	if resp, _ := client.Get(ts.URL + cache.RecordPathPrefix + key.String()); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET of rotted record: %d, want 404 (quarantined)", resp.StatusCode)
@@ -204,4 +215,41 @@ func TestServerMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// FuzzCacheServerPut sends arbitrary PUT bodies to the handler, each
+// under a digest of its own bytes. Every answer is 204, 400, 413 or
+// 422 — never a panic or a 5xx — and after a 204 a GET returns the
+// same bytes.
+func FuzzCacheServerPut(f *testing.F) {
+	rec, _ := cache.EncodeRecord(sampleValue())
+	mangled := append([]byte(nil), rec...)
+	mangled[len(mangled)-1] ^= 0xFF
+	for _, seed := range [][]byte{rec, {}, rec[:len(rec)-1], mangled} {
+		f.Add(seed)
+	}
+	disk, err := cache.NewDisk(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(disk.Close)
+	h := New(disk).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		hs := contenthash.New(5)
+		hs.String(string(body))
+		url := cache.RecordPathPrefix + hs.Sum().String()
+		put := httptest.NewRecorder()
+		h.ServeHTTP(put, httptest.NewRequest(http.MethodPut, url, bytes.NewReader(body)))
+		switch put.Code {
+		case http.StatusNoContent:
+			get := httptest.NewRecorder()
+			h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, url, nil))
+			if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), body) {
+				t.Fatalf("GET after 204: %d, %d bytes, want the %d stored", get.Code, get.Body.Len(), len(body))
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("PUT answered %d", put.Code)
+		}
+	})
 }

@@ -18,6 +18,7 @@ func startCacheServer(t *testing.T) (*cacheserver.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	srv := cacheserver.New(disk)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -165,6 +166,7 @@ func TestCampaignThreeTierStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk1.Close)
 	r1 := dialRemote(t, url, nil)
 	cfg := base
 	cfg.Cache = cache.NewTiered(disk1, r1)
@@ -182,6 +184,7 @@ func TestCampaignThreeTierStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk2.Close)
 	r2 := dialRemote(t, url, nil)
 	defer r2.Close()
 	cfg.Cache = cache.NewTiered(disk2, r2)

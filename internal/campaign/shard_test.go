@@ -95,6 +95,7 @@ func TestRunScenariosSharedCacheIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	shared := base
 	shared.Cache = disk
 	for pass, name := range []string{"cold", "warm"} {

@@ -225,6 +225,7 @@ func TestDistribWorkerWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	urls := startWorkers(t, 2, WorkerConfig{Workers: 1, Cache: disk})
 
 	run := func() *campaign.Report {

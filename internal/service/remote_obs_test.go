@@ -20,6 +20,7 @@ func newRemoteTestServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	cs := httptest.NewServer(cacheserver.New(disk).Handler())
 	t.Cleanup(cs.Close)
 	srv := mustServer(t, Config{Workers: 1, CacheDir: t.TempDir(), RemoteCache: cs.URL})

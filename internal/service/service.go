@@ -148,6 +148,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	store     cache.Store   // session/analyze memo store (LRU, or Tiered over l2/remote)
+	l2        *cache.Disk   // nil unless CacheDir is configured
 	remote    *cache.Remote // nil unless RemoteCache is configured
 	shared    cache.Store   // the process-shared level under store (nil, l2, remote, or l2 over remote)
 	reg       *whatif.Registry
@@ -207,6 +208,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
+		l2:        l2,
 		remote:    remote,
 		shared:    shared,
 		reg:       reg,
@@ -277,13 +279,17 @@ func sharedLevel(l2 *cache.Disk, remote *cache.Remote) cache.Store {
 // uniform JSON error body.
 func (s *Server) Handler() http.Handler { return jsonFallback(s.mux) }
 
-// Close cancels every running campaign job and flushes the remote
-// tier's write-behind queue. In-flight requests finish normally; the
+// Close cancels every running campaign job, flushes the remote tier's
+// write-behind queue and closes the disk tier's segment files. In-flight
+// requests finish normally, a disk lookup among them as a miss; the
 // owning http.Server handles connection shutdown.
 func (s *Server) Close() {
 	s.cancel()
 	if s.remote != nil {
 		s.remote.Close()
+	}
+	if s.l2 != nil {
+		s.l2.Close()
 	}
 }
 

@@ -45,6 +45,7 @@ func TestTieredSessionPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk.Close)
 	coldReports, coldStats := busWorkload(t, cache.NewTiered(cache.NewLRU(0), disk))
 	if !reflect.DeepEqual(coldReports, refReports) {
 		t.Fatal("cold tiered run: reports differ from private-LRU run")
@@ -103,6 +104,7 @@ func TestTieredSystemSessionPinned(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
+	t.Cleanup(disk.Close)
 	_, coldStats := run(cache.NewTiered(cache.NewLRU(0), disk))
 	if got, want := sessionOnly(coldStats), sessionOnly(refStats); got != want {
 		t.Fatalf("cold tiered system run: stats %+v, want %+v", got, want)
