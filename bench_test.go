@@ -654,8 +654,9 @@ func BenchmarkRunBatch(b *testing.B) {
 }
 
 // BenchmarkAnalyzeParallel measures the per-message fan-out of the
-// response-time analysis on the worst-case case-study configuration.
-// Compare with BenchmarkAnalyzeCase88 (serial) and across -cpu counts.
+// response-time analysis on the worst-case case-study configuration:
+// rta.AnalyzeCached without a cache. Compare with BenchmarkAnalyzeCase88
+// (serial) and across -cpu counts.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	k := caseMatrix()
 	msgs := k.ToRTA()
@@ -663,7 +664,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	cfg.Bus = k.Bus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rta.AnalyzeParallel(msgs, cfg, 0); err != nil {
+		if _, err := rta.AnalyzeCached(msgs, cfg, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -913,8 +914,9 @@ func BenchmarkCampaign(b *testing.B) {
 // of the folded report against the serial run is pinned by the
 // internal/distrib tests; this benchmark tracks the wire + coordination
 // overhead (run with -benchmem: allocs/op is dominated by rows, not
-// corpus materialization) and the pipelining win: "unpipelined" holds
-// one shard in flight per worker, "pipelined" holds four.
+// corpus materialization). Its one sub-benchmark keeps the name
+// "unpipelined" so it stays comparable with the BENCH_PR10.json
+// baseline: each worker holds one shard in flight.
 // ---------------------------------------------------------------------
 
 func BenchmarkDistribCampaign(b *testing.B) {
@@ -924,36 +926,30 @@ func BenchmarkDistribCampaign(b *testing.B) {
 	defer w2.Close()
 	spec := scenario.Spec{Seed: 1, Count: 64}
 	cfg := campaign.Config{Duration: 100 * time.Millisecond}
-	for _, variant := range []struct {
-		name  string
-		depth int
-	}{{"unpipelined", 1}, {"pipelined", 4}} {
-		b.Run(variant.name, func(b *testing.B) {
-			var scenarios int
-			var wire int64
-			for i := 0; i < b.N; i++ {
-				job, err := campaign.NewSpecJob(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, stats, err := distrib.RunStats(context.Background(), job, distrib.Options{
-					Workers:       []string{w1.URL, w2.URL},
-					ShardSize:     8,
-					PipelineDepth: variant.depth,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				scenarios = rep.Scenarios
-				wire = stats.BytesOnWire
+	b.Run("unpipelined", func(b *testing.B) {
+		var scenarios int
+		var wire int64
+		for i := 0; i < b.N; i++ {
+			job, err := campaign.NewSpecJob(spec, cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(scenarios), "scenarios")
-			b.ReportMetric(float64(wire), "wire_B")
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(scenarios)*float64(b.N)/secs, "scenarios/s")
+			rep, stats, err := distrib.RunStats(context.Background(), job, distrib.Options{
+				Workers:   []string{w1.URL, w2.URL},
+				ShardSize: 8,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			scenarios = rep.Scenarios
+			wire = stats.BytesOnWire
+		}
+		b.ReportMetric(float64(scenarios), "scenarios")
+		b.ReportMetric(float64(wire), "wire_B")
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(scenarios)*float64(b.N)/secs, "scenarios/s")
+		}
+	})
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/distrib"
 	"repro/internal/experiments"
@@ -36,7 +37,6 @@ func cmdCampaign(args []string) error {
 	quick := fs.Bool("quick", false, "64-scenario corpus with a 100ms simulation span")
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; run the campaign distributed")
 	shard := shardFlag(fs)
-	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	cacheDir := fs.String("cache-dir", "", "local runs: on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
@@ -86,21 +86,14 @@ func cmdCampaign(args []string) error {
 		Seeds:    *seeds,
 		Duration: *duration,
 	}
-	store, disk, remote, err := sharedCache(*cacheDir, *cacheBytes, *remoteCache)
+	shared, err := cache.OpenShared(*cacheDir, *cacheBytes, *remoteCache)
 	if err != nil {
-		return fmt.Errorf("campaign: cache: %w", err)
+		return fmt.Errorf("campaign: %w", err)
 	}
-	if store != nil {
-		cfg.Cache = store
-	}
-	if disk != nil {
-		defer disk.Close()
-	}
-	if remote != nil {
-		// Close flushes the write-behind queue, so a one-shot campaign's
-		// results reach the fleet before the process exits.
-		defer remote.Close()
-	}
+	// Close flushes the remote write-behind queue, so a one-shot
+	// campaign's results reach the fleet before the process exits.
+	defer shared.Close()
+	cfg.Cache = shared.Store
 
 	// -trace-out records this one run at full rate into a standalone
 	// trace; -flight keeps the N slowest scenarios' span trees. Neither
@@ -133,7 +126,6 @@ func cmdCampaign(args []string) error {
 	if addrs := splitAddrs(*workersAddr); len(addrs) > 0 {
 		rep, corpus, err = runDistributed(ctx, spec, cfg, distrib.Options{
 			Workers: addrs, ShardSize: *shard, ShardTimeout: *shardTimeout,
-			PipelineDepth: *pipelineDepth,
 		}, *quick, *corpusPath != "")
 	} else {
 		var ran scenario.Spec
@@ -164,13 +156,13 @@ func cmdCampaign(args []string) error {
 			fmt.Printf("slowest %d: %s (%v)\n", i+1, e.Label, time.Duration(e.DurNS).Round(time.Microsecond))
 		}
 	}
-	if disk != nil {
-		st := disk.Stats()
+	if shared.Disk != nil {
+		st := shared.Disk.Stats()
 		fmt.Printf("disk cache: %d entries, %d B, %d hits / %d misses\n",
 			st.Entries, st.Bytes, st.Hits, st.Misses)
 	}
-	if remote != nil {
-		rs := remote.RemoteStats()
+	if shared.Remote != nil {
+		rs := shared.Remote.RemoteStats()
 		fmt.Printf("remote cache: %d hits / %d misses, %d errors, breaker %s\n",
 			rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 	}

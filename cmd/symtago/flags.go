@@ -4,7 +4,6 @@ import (
 	"flag"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/campaign"
 )
 
@@ -47,33 +46,6 @@ func checkShard(cmd string, n int) error {
 // remoteCacheFlag registers the uniform -remote-cache flag.
 func remoteCacheFlag(fs *flag.FlagSet) *string {
 	return fs.String("remote-cache", "", "cacheserver base URL for the fleet-shared result tier (empty = off)")
-}
-
-// sharedCache composes the process's shared second-level store from
-// the -cache-dir/-cache-bytes/-remote-cache flags: local disk alone,
-// remote alone, or disk over remote (an L2/L3 stack — remote hits are
-// promoted onto the local disk). All three returns may be nil when
-// both flags are empty; the caller must Close a non-nil disk to
-// release its segment files, and a non-nil remote to flush its
-// write-behind queue.
-func sharedCache(cacheDir string, cacheBytes int64, remoteURL string) (store cache.Store, disk *cache.Disk, remote *cache.Remote, err error) {
-	if cacheDir != "" {
-		if disk, err = cache.NewDisk(cacheDir, cacheBytes); err != nil {
-			return nil, nil, nil, err
-		}
-		store = disk
-	}
-	if remoteURL != "" {
-		if remote, err = cache.NewRemote(cache.RemoteConfig{BaseURL: remoteURL}); err != nil {
-			return nil, nil, nil, err
-		}
-		if disk != nil {
-			store = cache.NewTiered(disk, remote)
-		} else {
-			store = remote
-		}
-	}
-	return store, disk, remote, nil
 }
 
 // splitAddrs parses a comma-separated -workers-addr value into the

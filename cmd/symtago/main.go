@@ -19,8 +19,7 @@
 //	symtago extend   [-kmatrix file] [-period d] [-dlc n] [-operating s]
 //	symtago campaign [-n count] [-seed n] [-spec file] [-workers n] [-seeds n]
 //	                 [-duration d] [-csv file] [-corpus file] [-quick]
-//	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
-//	                 [-shard-timeout d]
+//	                 [-workers-addr urls] [-shard n] [-shard-timeout d]
 //	                 [-cache-dir dir] [-cache-bytes n] [-remote-cache url]
 //	                 [-trace-out file] [-flight n]
 //	symtago serve    [-addr host:port] [-workers n] [-cache n] [-ttl d]
@@ -28,8 +27,7 @@
 //	                 [-tenant-quota n] [-request-timeout d] [-drain-timeout d]
 //	                 [-checkpoint-dir dir] [-cache-dir dir] [-cache-bytes n]
 //	                 [-remote-cache url]
-//	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
-//	                 [-shard-timeout d]
+//	                 [-workers-addr urls] [-shard n] [-shard-timeout d]
 //	                 [-trace-sample f] [-trace-buffer n] [-flight n]
 //	                 [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]

@@ -75,3 +75,34 @@ func TestCacheServerRequiresCacheDir(t *testing.T) {
 		t.Fatalf("cmdCacheServer() = %v, want a usage error", err)
 	}
 }
+
+// TestExitCodeContract table-tests docs/cli.md's exit codes: unknown
+// flags and out-of-range values are usage errors (exit 2), a spec file
+// that cannot be read is a runtime failure (exit 1). None of these
+// cases gets as far as running anything.
+func TestExitCodeContract(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-spec.toml")
+	for _, tc := range []struct {
+		name  string
+		run   func([]string) error
+		args  []string
+		usage bool
+	}{
+		{"campaign removed -pipeline-depth", cmdCampaign, []string{"-pipeline-depth", "2"}, true},
+		{"serve removed -pipeline-depth", cmdServe, []string{"-pipeline-depth", "2"}, true},
+		{"campaign oversized -shard", cmdCampaign, []string{"-shard", "4097"}, true},
+		{"serve oversized -shard", cmdServe, []string{"-shard", "4097"}, true},
+		{"campaign negative -n", cmdCampaign, []string{"-n", "-1"}, true},
+		{"worker unknown flag", cmdWorker, []string{"-no-such-flag"}, true},
+		{"campaign missing -spec file", cmdCampaign, []string{"-spec", missing}, false},
+	} {
+		err := tc.run(tc.args)
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+			continue
+		}
+		if isUsageError(err) != tc.usage {
+			t.Errorf("%s: isUsageError(%v) = %t, want %t", tc.name, err, !tc.usage, tc.usage)
+		}
+	}
+}

@@ -36,7 +36,6 @@ func cmdServe(args []string) error {
 	remoteCache := remoteCacheFlag(fs)
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; campaigns fan out over them")
 	shardSize := shardFlag(fs)
-	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of requests traced (0 = default 0.01, negative = off; X-Trace-Id always traces)")
 	traceBuffer := fs.Int("trace-buffer", 0, "traces retained for GET /v1/trace/{id} (0 = 64)")
@@ -70,7 +69,6 @@ func cmdServe(args []string) error {
 		RemoteCache:    *remoteCache,
 		WorkerAddrs:    splitAddrs(*workersAddr),
 		ShardSize:      *shardSize,
-		PipelineDepth:  *pipelineDepth,
 		ShardTimeout:   *shardTimeout,
 		TraceSample:    *traceSample,
 		TraceBuffer:    *traceBuffer,

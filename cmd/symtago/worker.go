@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/distrib"
 )
 
@@ -34,23 +35,14 @@ func cmdWorker(args []string) error {
 	}
 	startPprof("worker", *pprofAddr)
 
-	wcfg := distrib.WorkerConfig{Workers: *workers}
-	store, disk, remote, err := sharedCache(*cacheDir, *cacheBytes, *remoteCache)
+	shared, err := cache.OpenShared(*cacheDir, *cacheBytes, *remoteCache)
 	if err != nil {
-		return fmt.Errorf("worker: cache: %w", err)
+		return fmt.Errorf("worker: %w", err)
 	}
-	if store != nil {
-		wcfg.Cache = store
-	}
-	if disk != nil {
-		defer disk.Close()
-	}
-	if remote != nil {
-		// Close flushes the write-behind queue so results computed on
-		// this worker reach the fleet tier before the process exits.
-		defer remote.Close()
-	}
-	worker := distrib.NewWorker(wcfg)
+	// Close flushes the remote write-behind queue so results computed
+	// on this worker reach the fleet tier before the process exits.
+	defer shared.Close()
+	worker := distrib.NewWorker(distrib.WorkerConfig{Workers: *workers, Cache: shared.Store})
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           worker.Handler(),
@@ -82,13 +74,13 @@ func cmdWorker(args []string) error {
 			fmt.Fprintf(os.Stderr, "symtago worker: shutdown: %v\n", err)
 		}
 		fmt.Printf("symtago worker: served %d shards\n", worker.ShardsServed())
-		if disk != nil {
-			st := disk.Stats()
+		if shared.Disk != nil {
+			st := shared.Disk.Stats()
 			fmt.Printf("symtago worker: disk cache %d entries, %d B, %d hits / %d misses\n",
 				st.Entries, st.Bytes, st.Hits, st.Misses)
 		}
-		if remote != nil {
-			rs := remote.RemoteStats()
+		if shared.Remote != nil {
+			rs := shared.Remote.RemoteStats()
 			fmt.Printf("symtago worker: remote cache %d hits / %d misses, %d errors, breaker %s\n",
 				rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 		}

@@ -18,10 +18,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// DefaultPipelineDepth is the per-worker in-flight shard window when
-// none is configured: deep enough to overlap dispatch latency with
-// execution, shallow enough that a dropped worker strands little work.
-const DefaultPipelineDepth = 2
+// DefaultPipelineDepth is the number of shards in flight to one
+// worker: the coordinator sends a worker its next shard only once the
+// previous one is installed or requeued.
+const DefaultPipelineDepth = 1
 
 // Options parameterises a distributed campaign run.
 type Options struct {
@@ -31,11 +31,6 @@ type Options struct {
 	// ShardSize bounds scenarios per shard (<= 0 selects
 	// campaign.DefaultShardSize; at most campaign.MaxShardSize).
 	ShardSize int
-	// PipelineDepth bounds how many shards may be in flight to one
-	// worker at once (<= 0 selects DefaultPipelineDepth; 1 disables
-	// pipelining). The merged report is byte-identical for every depth —
-	// rows install by scenario index and the fold is order-free.
-	PipelineDepth int
 	// ShardTimeout is the per-attempt deadline of one shard (default
 	// 2m). A timed-out attempt counts as a failure and the shard is
 	// retried, possibly on another worker.
@@ -44,7 +39,8 @@ type Options struct {
 	// (default 3).
 	MaxAttempts int
 	// DropAfter is how many consecutive failures retire a worker
-	// (default 3). Its in-flight shards are requeued for the survivors.
+	// (default 3). The shard it failed last is requeued for the
+	// survivors.
 	DropAfter int
 	// Client is the HTTP client shards travel over (default
 	// http.DefaultClient; per-attempt deadlines come from ShardTimeout,
@@ -59,9 +55,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ShardSize <= 0 {
 		o.ShardSize = campaign.DefaultShardSize
-	}
-	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = DefaultPipelineDepth
 	}
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 2 * time.Minute
@@ -118,8 +111,8 @@ type Event struct {
 // across the coordinator's events, so a caller that also passes OnEvent
 // sees both.
 type Stats struct {
-	// Shards counts installed shards; Retries counts failed attempts
-	// that were requeued; DroppedWorkers counts retired workers.
+	// Shards counts installed shards; Retries counts failed attempts;
+	// DroppedWorkers counts retired workers.
 	Shards, Retries, DroppedWorkers int
 	// BytesOnWire totals shard response bodies as they travelled
 	// (post-compression).
@@ -142,37 +135,27 @@ type coordinator struct {
 	// reaches zero so idle workers stop waiting on the queue.
 	remaining atomic.Int64
 	allDone   chan struct{}
-	doneOnce  sync.Once
+	cancel    context.CancelFunc
 
-	stats   Stats
-	statsMu sync.Mutex
-
-	// fatal records the first unrecoverable failure and cancels the run.
-	fatalMu  sync.Mutex
+	// mu serialises OnEvent calls and guards stats and fatalErr, the
+	// first unrecoverable failure (which also cancels the run).
+	mu       sync.Mutex
+	stats    Stats
 	fatalErr error
-	cancel   context.CancelFunc
-
-	eventMu sync.Mutex
 }
 
-// Run executes the job's pending scenarios over the workers and folds
-// the final report. The report is byte-identical to a local
-// (*campaign.Job).Run for any worker set, shard size, pipeline depth,
-// or failure schedule: rows are installed by scenario index and the
-// fold is the same serial aggregate. The coordinator ships only
-// (spec, range) per shard and folds the workers' partial fingerprints
-// — the corpus is never materialized on this side. Run fails when a
-// shard exhausts MaxAttempts, when every worker has been dropped with
-// shards still pending, or when ctx is cancelled; the job keeps the
-// rows installed so far, so a later Run — local or
-// distributed — resumes from the pending set.
-func Run(ctx context.Context, job *campaign.Job, opts Options) (*campaign.Report, error) {
-	rep, _, err := RunStats(ctx, job, opts)
-	return rep, err
-}
-
-// RunStats is Run plus the accumulated run statistics (valid even when
-// the run fails).
+// RunStats executes the job's pending scenarios over the workers,
+// folds the final report and returns the run statistics (valid even
+// when the run fails). The report is byte-identical to a local
+// (*campaign.Job).Run for any worker set, shard size or failure
+// schedule: rows are installed by scenario index and the fold is the
+// same serial aggregate. The coordinator ships only (spec, range) per
+// shard and folds the workers' partial fingerprints — the corpus is
+// never materialized on this side. RunStats fails when a shard
+// exhausts MaxAttempts, when every worker has been dropped with shards
+// still pending, or when ctx is cancelled; the job keeps the rows
+// installed so far, so a later run — local or distributed — resumes
+// from the pending set.
 func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.Report, Stats, error) {
 	opts = opts.withDefaults()
 	if len(opts.Workers) == 0 {
@@ -222,131 +205,97 @@ func RunStats(ctx context.Context, job *campaign.Job, opts Options) (*campaign.R
 	}
 	wg.Wait()
 
-	c.statsMu.Lock()
-	stats := c.stats
-	c.statsMu.Unlock()
-	c.fatalMu.Lock()
-	fatal := c.fatalErr
-	c.fatalMu.Unlock()
+	// Every worker loop has returned, so stats and fatalErr are final.
 	switch {
-	case fatal != nil:
-		return nil, stats, fatal
+	case c.fatalErr != nil:
+		return nil, c.stats, c.fatalErr
 	case ctx.Err() != nil:
-		return nil, stats, ctx.Err()
+		return nil, c.stats, ctx.Err()
 	case c.remaining.Load() > 0:
-		return nil, stats, fmt.Errorf("distrib: all %d workers dropped with %d shards pending",
+		return nil, c.stats, fmt.Errorf("distrib: all %d workers dropped with %d shards pending",
 			len(opts.Workers), c.remaining.Load())
 	}
 	rep, err := job.Run(ctx)
-	return rep, stats, err
+	return rep, c.stats, err
 }
 
-// workerLoop pumps shards to one worker, keeping up to PipelineDepth
-// in flight: a free slot pulls the next queued shard and dispatches it
-// on its own goroutine, so the worker's pool never drains while an
-// acknowledgement is in transit. Consecutive failures (counted across
-// the in-flight window) retire the worker; its unfinished shards have
-// already requeued themselves for the survivors.
+// workerLoop feeds one worker one shard at a time: it takes a shard,
+// runs it, and installs or requeues it before it takes the next.
+// DropAfter consecutive failures retire the worker; the shard it failed
+// last is already requeued for the survivors.
 func (c *coordinator) workerLoop(ctx context.Context, addr string) {
-	slots := make(chan struct{}, c.opts.PipelineDepth)
-	for i := 0; i < c.opts.PipelineDepth; i++ {
-		slots <- struct{}{}
-	}
-	var consecutive atomic.Int64
-	dropped := make(chan struct{})
-	var dropOnce sync.Once
-
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	consecutive := 0
 	for {
+		var t *shardTask
 		select {
 		case <-ctx.Done():
 			return
 		case <-c.allDone:
 			return
-		case <-dropped:
-			return
-		case <-slots:
+		case t = <-c.queue:
 		}
-		select {
-		case <-ctx.Done():
+		c.emit(Event{Type: EventDispatch, Worker: addr, Shard: t.r, Attempt: t.attempts + 1})
+		t0 := time.Now()
+		wire, err := c.runShard(ctx, addr, t)
+		elapsed := time.Since(t0)
+		if err == nil {
+			consecutive = 0
+			c.emit(Event{Type: EventShardDone, Worker: addr, Shard: t.r,
+				Attempt: t.attempts + 1, ElapsedNS: int64(elapsed), Bytes: wire})
+			if c.remaining.Add(-1) == 0 {
+				close(c.allDone)
+			}
+			continue
+		}
+		if ctx.Err() != nil {
+			// Cancelled mid-flight: not the worker's fault. Requeue so a
+			// restarted run still sees the shard as pending.
+			c.queue <- t
 			return
-		case <-c.allDone:
+		}
+		t.attempts++
+		c.emit(Event{Type: EventShardFailed, Worker: addr, Shard: t.r,
+			Attempt: t.attempts, Err: err.Error(), ElapsedNS: int64(elapsed)})
+		if t.attempts >= c.opts.MaxAttempts {
+			c.fail(fmt.Errorf("distrib: shard [%d,%d) failed %d times, last on %s: %w",
+				t.r.Start, t.r.End(), t.attempts, addr, err))
 			return
-		case <-dropped:
+		}
+		c.queue <- t
+		if consecutive++; consecutive >= c.opts.DropAfter {
+			c.emit(Event{Type: EventWorkerDropped, Worker: addr, Shard: t.r,
+				Attempt: t.attempts, Err: err.Error()})
 			return
-		case t := <-c.queue:
-			c.emit(Event{Type: EventDispatch, Worker: addr, Shard: t.r, Attempt: t.attempts + 1})
-			wg.Add(1)
-			go func(t *shardTask) {
-				defer wg.Done()
-				defer func() { slots <- struct{}{} }()
-				t0 := time.Now()
-				bytes, err := c.runShard(ctx, addr, t)
-				elapsed := time.Since(t0)
-				if err == nil {
-					consecutive.Store(0)
-					c.statsMu.Lock()
-					c.stats.Shards++
-					c.stats.BytesOnWire += bytes
-					c.statsMu.Unlock()
-					c.emit(Event{Type: EventShardDone, Worker: addr, Shard: t.r,
-						Attempt: t.attempts + 1, ElapsedNS: int64(elapsed), Bytes: bytes})
-					if c.remaining.Add(-1) == 0 {
-						c.doneOnce.Do(func() { close(c.allDone) })
-					}
-					return
-				}
-				if ctx.Err() != nil {
-					// Cancelled mid-flight: not the worker's fault. Requeue so
-					// a restarted run still sees the shard as pending.
-					c.queue <- t
-					return
-				}
-				t.attempts++
-				c.statsMu.Lock()
-				c.stats.Retries++
-				c.statsMu.Unlock()
-				c.emit(Event{Type: EventShardFailed, Worker: addr, Shard: t.r,
-					Attempt: t.attempts, Err: err.Error(), ElapsedNS: int64(elapsed)})
-				if t.attempts >= c.opts.MaxAttempts {
-					c.fail(fmt.Errorf("distrib: shard [%d,%d) failed %d times, last on %s: %w",
-						t.r.Start, t.r.End(), t.attempts, addr, err))
-					return
-				}
-				c.queue <- t
-				if consecutive.Add(1) >= int64(c.opts.DropAfter) {
-					dropOnce.Do(func() {
-						c.statsMu.Lock()
-						c.stats.DroppedWorkers++
-						c.statsMu.Unlock()
-						c.emit(Event{Type: EventWorkerDropped, Worker: addr, Shard: t.r,
-							Attempt: t.attempts, Err: err.Error()})
-						close(dropped)
-					})
-				}
-			}(t)
 		}
 	}
 }
 
 func (c *coordinator) fail(err error) {
-	c.fatalMu.Lock()
+	c.mu.Lock()
 	if c.fatalErr == nil {
 		c.fatalErr = err
 	}
-	c.fatalMu.Unlock()
+	c.mu.Unlock()
 	c.cancel()
 }
 
+// emit folds e into the run statistics and passes it to OnEvent.
 func (c *coordinator) emit(e Event) {
-	if c.opts.OnEvent == nil {
-		return
-	}
 	e.Done, e.Total = c.job.Progress()
-	c.eventMu.Lock()
-	c.opts.OnEvent(e)
-	c.eventMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch e.Type {
+	case EventShardDone:
+		c.stats.Shards++
+		c.stats.BytesOnWire += e.Bytes
+	case EventShardFailed:
+		c.stats.Retries++
+	case EventWorkerDropped:
+		c.stats.DroppedWorkers++
+	}
+	if c.opts.OnEvent != nil {
+		c.opts.OnEvent(e)
+	}
 }
 
 // countingReader counts bytes as they come off the wire, before any

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
@@ -64,13 +66,79 @@ func TestDistribMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(context.Background(), job, Options{Workers: urls, ShardSize: shard})
+		got, _, err := RunStats(context.Background(), job, Options{Workers: urls, ShardSize: shard})
 		if err != nil {
 			t.Fatalf("shard size %d: %v", shard, err)
 		}
 		if canonical(t, got) != canonical(t, want) {
 			t.Fatalf("shard size %d: distributed report differs from local run", shard)
 		}
+	}
+}
+
+// overlapMeter wraps a worker's handler and records the most shard
+// requests it ever held at once.
+type overlapMeter struct {
+	h        http.Handler
+	mu       sync.Mutex
+	inflight int
+	max      int
+	served   int
+}
+
+func (m *overlapMeter) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	m.mu.Lock()
+	m.inflight++
+	m.max = max(m.max, m.inflight)
+	m.served++
+	m.mu.Unlock()
+	// Hold the request briefly so that a second request dispatched
+	// without waiting for this one's answer is seen to overlap it.
+	time.Sleep(5 * time.Millisecond)
+	m.h.ServeHTTP(rw, r)
+	m.mu.Lock()
+	m.inflight--
+	m.mu.Unlock()
+}
+
+// TestDistribOneShardInFlightPerWorker: the coordinator sends a worker
+// its next shard only after the previous one is answered, so no worker
+// ever holds two shard requests at once.
+func TestDistribOneShardInFlightPerWorker(t *testing.T) {
+	spec := testSpec()
+	cfg := testConfig()
+	want, err := campaign.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meters := make([]*overlapMeter, 2)
+	urls := make([]string, len(meters))
+	for i := range meters {
+		meters[i] = &overlapMeter{h: NewWorker(WorkerConfig{Workers: 1}).Handler()}
+		srv := httptest.NewServer(meters[i])
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	job, err := campaign.NewSpecJob(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := RunStats(context.Background(), job, Options{Workers: urls, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical(t, got) != canonical(t, want) {
+		t.Fatal("distributed report differs from local run")
+	}
+	served := 0
+	for i, m := range meters {
+		if m.max != 1 {
+			t.Errorf("worker %d held at most %d shard requests at once, want 1", i, m.max)
+		}
+		served += m.served
+	}
+	if served != stats.Shards || served != spec.Count {
+		t.Fatalf("workers served %d requests for %d shards of a %d-scenario corpus", served, stats.Shards, spec.Count)
 	}
 }
 
@@ -130,7 +198,7 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dropped, failed atomic.Int64
-	got, err := Run(context.Background(), job, Options{
+	got, _, err := RunStats(context.Background(), job, Options{
 		Workers:   []string{srvVictim.URL, srvSurvivor.URL},
 		ShardSize: 2,
 		DropAfter: 1,
@@ -179,7 +247,7 @@ func TestDistribExhaustedAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), job, Options{
+	if _, _, err := RunStats(context.Background(), job, Options{
 		Workers: []string{dead.URL}, ShardSize: 4, MaxAttempts: 2, DropAfter: 10,
 	}); err == nil {
 		t.Fatal("run over a dead worker succeeded")
@@ -203,7 +271,7 @@ func TestDistribAllWorkersDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), job, Options{
+	_, _, err = RunStats(context.Background(), job, Options{
 		Workers: []string{dead.URL}, ShardSize: 4, MaxAttempts: 100, DropAfter: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
@@ -233,7 +301,7 @@ func TestDistribWorkerWarmCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(context.Background(), job, Options{Workers: urls, ShardSize: 3})
+		rep, _, err := RunStats(context.Background(), job, Options{Workers: urls, ShardSize: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +353,7 @@ func TestDistribVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), job, Options{
+	if _, _, err := RunStats(context.Background(), job, Options{
 		Workers: []string{skewed.URL}, MaxAttempts: 1,
 	}); err == nil || !strings.Contains(err.Error(), "wire version") {
 		t.Fatalf("expected wire version failure, got %v", err)
@@ -327,10 +395,53 @@ func TestDistribShardSizeBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), job, Options{
+	if _, _, err := RunStats(context.Background(), job, Options{
 		Workers: []string{w.URL}, ShardSize: campaign.MaxShardSize + 1,
 	}); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
 		t.Fatalf("coordinator accepted shard size %d: %v", campaign.MaxShardSize+1, err)
+	}
+}
+
+// hostileSpecs are corpus specs the generator could not run correctly,
+// or that cost one scenario without bound, keyed by the spec key whose
+// limit refuses them.
+var hostileSpecs = map[string]string{
+	"max_messages":       "count = 1\nmin_messages = 1000\nmax_messages = 1000\n",
+	"flows_max":          "count = 1\nmin_buses = 2\nmax_buses = 2\nmin_messages = 200\nmax_messages = 200\nflows_min = 150\nflows_max = 150\n",
+	"gateway_period_min": "count = 1\ngateway_period_min = \"1ns\"\ngateway_period_max = \"1ns\"\n",
+	"max_buses":          "count = 1\nmin_buses = 2000\nmax_buses = 2000\n",
+	"max_changes":        "count = 1\nmax_changes = 2000000\n",
+}
+
+// hostileShard encodes a one-scenario shard request of spec text.
+func hostileShard(tb testing.TB, text string) []byte {
+	tb.Helper()
+	body, err := json.Marshal(ShardRequest{
+		Version: WireVersion, Corpus: campaign.CorpusRef{Version: 1, Spec: text},
+		Count: 1, Config: NewShardConfig(testConfig()),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestDistribSpecLimits: a shard request carries its own corpus spec,
+// so the worker refuses a spec beyond the generation limits with 400,
+// naming the spec key, before it generates anything.
+func TestDistribSpecLimits(t *testing.T) {
+	w := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer w.Close()
+	for key, text := range hostileSpecs {
+		resp, err := http.Post(w.URL+ShardPath, "application/json", bytes.NewReader(hostileShard(t, text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), key) {
+			t.Errorf("%s: got %s %q, want 400 naming %s", key, resp.Status, msg, key)
+		}
 	}
 }
 
@@ -375,7 +486,7 @@ func TestDistribSimulationBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := hits.Load()
-		if _, err := Run(context.Background(), job, Options{Workers: []string{w.URL}}); err == nil ||
+		if _, _, err := RunStats(context.Background(), job, Options{Workers: []string{w.URL}}); err == nil ||
 			!strings.Contains(err.Error(), "the maximum") {
 			t.Errorf("%s: coordinator accepted %+v: %v", name, job.Config(), err)
 		}

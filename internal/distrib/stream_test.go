@@ -18,8 +18,8 @@ import (
 
 // TestDistribStreamedMatchesLocal: a distributed run — the coordinator
 // never materializes the corpus — folds the byte-identical report of a
-// local run, and the corpus's own fingerprint, across pipeline depths,
-// with compressed rows on the wire.
+// local run, and the corpus's own fingerprint, with compressed rows on
+// the wire.
 func TestDistribStreamedMatchesLocal(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig()
@@ -33,42 +33,39 @@ func TestDistribStreamedMatchesLocal(t *testing.T) {
 	}
 	urls := startWorkers(t, 3, WorkerConfig{Workers: 1})
 
-	for _, depth := range []int{1, 2, 4} {
-		job, err := campaign.NewSpecJob(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wireBytes atomic.Int64
-		got, stats, err := RunStats(context.Background(), job, Options{
-			Workers: urls, ShardSize: 2, PipelineDepth: depth,
-			OnEvent: func(e Event) {
-				if e.Type == EventShardDone {
-					wireBytes.Add(e.Bytes)
-				}
-			},
-		})
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if canonical(t, got) != canonical(t, want) {
-			t.Fatalf("depth %d: distributed report differs from local run", depth)
-		}
-		if got.Fingerprint != corpus.Fingerprint().String() {
-			t.Fatalf("depth %d: folded fingerprint %s != corpus %s",
-				depth, got.Fingerprint, corpus.Fingerprint())
-		}
-		if stats.Shards != 6 || stats.BytesOnWire == 0 {
-			t.Fatalf("depth %d: stats %+v, want 6 shards and nonzero wire bytes", depth, stats)
-		}
-		if wireBytes.Load() != stats.BytesOnWire {
-			t.Fatalf("depth %d: event bytes %d != stats bytes %d",
-				depth, wireBytes.Load(), stats.BytesOnWire)
-		}
+	job, err := campaign.NewSpecJob(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wireBytes atomic.Int64
+	got, stats, err := RunStats(context.Background(), job, Options{
+		Workers: urls, ShardSize: 2,
+		OnEvent: func(e Event) {
+			if e.Type == EventShardDone {
+				wireBytes.Add(e.Bytes)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical(t, got) != canonical(t, want) {
+		t.Fatal("distributed report differs from local run")
+	}
+	if got.Fingerprint != corpus.Fingerprint().String() {
+		t.Fatalf("folded fingerprint %s != corpus %s", got.Fingerprint, corpus.Fingerprint())
+	}
+	if stats.Shards != 6 || stats.BytesOnWire == 0 {
+		t.Fatalf("stats %+v, want 6 shards and nonzero wire bytes", stats)
+	}
+	if wireBytes.Load() != stats.BytesOnWire {
+		t.Fatalf("event bytes %d != stats bytes %d", wireBytes.Load(), stats.BytesOnWire)
 	}
 }
 
-// TestDistribStreamedSurvivesWorkerKill: kill-a-worker with
-// pipelining on; the report is still byte-identical.
+// TestDistribStreamedSurvivesWorkerKill: the victim fails every shard
+// after its first, racing an ungated survivor; the report is still
+// byte-identical.
 func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
 	spec := testSpec()
 	cfg := testConfig()
@@ -87,9 +84,9 @@ func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), job, Options{
+	got, _, err := RunStats(context.Background(), job, Options{
 		Workers:   []string{srvVictim.URL, srvSurvivor.URL},
-		ShardSize: 2, PipelineDepth: 3, DropAfter: 1,
+		ShardSize: 2, DropAfter: 1,
 		OnEvent: func(e Event) {
 			if e.Type == EventShardDone && e.Worker == srvVictim.URL {
 				victim.killed.Store(true)
@@ -149,7 +146,7 @@ func TestDistribPinnedFingerprintRejectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.SetExpectedFingerprint(corpus.Fingerprint().String())
-	_, err = Run(context.Background(), job, Options{Workers: []string{w.URL}, ShardSize: 4})
+	_, _, err = RunStats(context.Background(), job, Options{Workers: []string{w.URL}, ShardSize: 4})
 	if err == nil || !strings.Contains(err.Error(), "tampered") {
 		t.Fatalf("pinned distributed run accepted a tampered shard: %v", err)
 	}

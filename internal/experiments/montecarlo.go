@@ -62,9 +62,9 @@ func RunMonteCarlo(p MonteCarloParams) (*MonteCarlo, error) {
 
 	// Analytic bounds under the same assumptions the simulation draws
 	// from (worst-case stuffing dominates every random draw; no errors).
-	rep, err := rta.AnalyzeParallel(k.ToRTA(), rta.Config{
+	rep, err := rta.AnalyzeCached(k.ToRTA(), rta.Config{
 		Bus: k.Bus(), Stuffing: can.StuffingWorstCase, DeadlineModel: rta.DeadlineImplicit,
-	}, p.Workers)
+	}, nil, p.Workers)
 	if err != nil {
 		return nil, err
 	}

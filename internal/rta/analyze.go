@@ -44,7 +44,7 @@ type prepared struct {
 }
 
 // prepare validates the input, orders it by priority and computes the
-// shared wire times. Both Analyze and AnalyzeParallel start here; the
+// shared wire times. Both Analyze and AnalyzeCached start here; the
 // per-message analyses that follow are pure functions of the result.
 func prepare(msgs []Message, cfg Config) (*prepared, error) {
 	if err := cfg.Bus.Validate(); err != nil {

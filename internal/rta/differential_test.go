@@ -211,8 +211,8 @@ func checkMatchesOracle(t *testing.T, d drawer, msgs []Message, cfg Config) {
 	got, err := Analyze(msgs, cfg)
 	check("Analyze", got, err)
 	for _, w := range []int{1, 4} {
-		got, err = AnalyzeParallel(msgs, cfg, w)
-		check("AnalyzeParallel", got, err)
+		got, err = AnalyzeCached(msgs, cfg, nil, w)
+		check("AnalyzeCached/nil", got, err)
 	}
 	if wantErr != nil {
 		return
@@ -240,7 +240,7 @@ func checkMatchesOracle(t *testing.T, d drawer, msgs []Message, cfg Config) {
 
 // The warm-started kernel must return reports bit-identical to the
 // cold-start oracle over generated buses, through Analyze,
-// AnalyzeParallel and AnalyzeCached alike.
+// AnalyzeCached without and with a cache alike.
 func TestAnalyzeMatchesOracle(t *testing.T) {
 	trials := 100
 	if testing.Short() {

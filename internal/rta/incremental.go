@@ -26,8 +26,10 @@ const tagMessageResult = 0x5254414D53473164 // "RTAMSG1d"
 // AnalyzeCached computes the same report as Analyze, fetching converged
 // per-message results from the cache when the digest of their analysis
 // inputs matches and fanning the remaining analyses over a worker pool
-// (workers <= 0 selects GOMAXPROCS; nil cache degrades to
-// AnalyzeParallel).
+// (workers <= 0 selects GOMAXPROCS). With a nil cache every message
+// misses and nothing is hashed, read or stored: the plain parallel
+// analysis, for large matrices and the inner loop of sweeps and
+// priority searches.
 //
 // A message's response time is a pure function of the analysis
 // configuration, the priority-ordered messages at and above its level
@@ -39,23 +41,28 @@ const tagMessageResult = 0x5254414D53473164 // "RTAMSG1d"
 // an edit, messages whose interference prefix is untouched cost one
 // cache probe instead of a busy-period fixpoint.
 func AnalyzeCached(msgs []Message, cfg Config, cache ResultCache, workers int) (*Report, error) {
-	if cache == nil {
-		return AnalyzeParallel(msgs, cfg, workers)
-	}
 	p, err := prepare(msgs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	keys := resultKeys(p, cfg)
+	var keys []contenthash.Digest
 	var missIdx []int
-	for i := range p.ordered {
-		if v, ok := cache.Get(keys[i]); ok {
-			if res, ok := v.(*Result); ok {
-				p.rep.Results[i] = *res
-				continue
-			}
+	if cache == nil {
+		missIdx = make([]int, len(p.ordered))
+		for i := range missIdx {
+			missIdx[i] = i
 		}
-		missIdx = append(missIdx, i)
+	} else {
+		keys = resultKeys(p, cfg)
+		for i := range p.ordered {
+			if v, ok := cache.Get(keys[i]); ok {
+				if res, ok := v.(*Result); ok {
+					p.rep.Results[i] = *res
+					continue
+				}
+			}
+			missIdx = append(missIdx, i)
+		}
 	}
 	if len(missIdx) > 0 {
 		kernels := make([]*kernel, parallel.Workers(workers))
@@ -75,6 +82,8 @@ func AnalyzeCached(msgs []Message, cfg Config, cache ResultCache, workers int) (
 			}
 			p.rep.Results[i] = k.analyzeOne(i, prevBusy)
 		})
+	}
+	if cache != nil {
 		// Insert in priority order after the fan-out, so the cache's
 		// recency state is independent of goroutine scheduling. Entries
 		// are pointers into the report's result slice — boxing a pointer

@@ -25,8 +25,9 @@ func randomMessages(rng *rand.Rand, n int) []Message {
 	return msgs
 }
 
-// AnalyzeParallel must reproduce Analyze exactly, for every worker
-// count, including under error models and both deadline models.
+// AnalyzeCached without a cache (the parallel analysis) must reproduce
+// Analyze exactly, for every worker count, including under error models
+// and both deadline models.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bus := can.Bus{Name: "t", BitRate: can.Rate500k}
@@ -44,7 +45,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 3, 16} {
-				got, err := AnalyzeParallel(msgs, cfg, workers)
+				got, err := AnalyzeCached(msgs, cfg, nil, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,10 +70,10 @@ func TestAnalyzeParallelValidation(t *testing.T) {
 		{Name: "a", Frame: can.Frame{ID: 1, DLC: 1}, Event: eventmodel.Periodic(time.Millisecond)},
 		{Name: "b", Frame: can.Frame{ID: 1, DLC: 1}, Event: eventmodel.Periodic(time.Millisecond)},
 	}
-	if _, err := AnalyzeParallel(dup, Config{Bus: bus}, 0); err == nil {
+	if _, err := AnalyzeCached(dup, Config{Bus: bus}, nil, 0); err == nil {
 		t.Error("duplicate identifiers must fail")
 	}
-	if _, err := AnalyzeParallel(nil, Config{}, 0); err == nil {
+	if _, err := AnalyzeCached(nil, Config{}, nil, 0); err == nil {
 		t.Error("invalid bus must fail")
 	}
 }

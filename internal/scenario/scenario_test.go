@@ -200,3 +200,74 @@ func TestSpecValidate(t *testing.T) {
 		t.Errorf("default spec rejected: %v", err)
 	}
 }
+
+// hostileSpecs are spec files the generator could not run correctly,
+// or that cost one scenario without bound, keyed by the spec key whose
+// limit refuses them.
+var hostileSpecs = map[string]string{
+	// IDs past 0x7FF: "does not fit standard format" at build time.
+	"max_messages": "count = 1\nmin_messages = 1000\nmax_messages = 1000\n",
+	// Forwarded IDs 0x10.. run into the generated 0x80..: "share ID".
+	"flows_max": "count = 1\nmin_buses = 2\nmax_buses = 2\nmin_messages = 200\nmax_messages = 200\nflows_min = 150\nflows_max = 150\n",
+	// Seconds per scenario where 100us takes milliseconds.
+	"gateway_period_min": "count = 1\ngateway_period_min = \"1ns\"\ngateway_period_max = \"1ns\"\n",
+	// About 80 MB allocated to build one scenario.
+	"max_buses": "count = 1\nmin_buses = 2000\nmax_buses = 2000\n",
+	// About 220 MB allocated to build one scenario.
+	"max_changes": "count = 1\nmax_changes = 2000000\n",
+}
+
+// TestSpecLimitsRefuse: each hostile spec parses, and Validate — so
+// also every generator entry point — refuses it, naming its key.
+func TestSpecLimitsRefuse(t *testing.T) {
+	for key, text := range hostileSpecs {
+		spec, err := ParseSpec(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		err = spec.WithDefaults().Validate()
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: Validate = %v, want an error naming %s", key, err, key)
+		}
+		if _, err := GenerateOne(spec, 0); err == nil {
+			t.Errorf("%s: GenerateOne accepted the spec", key)
+		}
+	}
+}
+
+// boundSpec sits at every generation limit at once.
+func boundSpec(seed int64) Spec {
+	return Spec{
+		Seed: seed, Count: 1,
+		MinBuses: BusLimit, MaxBuses: BusLimit,
+		MinMessages: MessageLimit, MaxMessages: MessageLimit,
+		FlowsMin: FlowLimit, FlowsMax: FlowLimit,
+		MaxChanges:       ChangeLimit,
+		GatewayPeriodMin: GatewayPeriodFloor, GatewayPeriodMax: GatewayPeriodFloor,
+	}
+}
+
+// TestSpecAtLimitsBuilds: a scenario drawn at every limit builds and
+// analyses over a few corpus seeds — every generated and forwarded
+// identifier fits 11 bits and stays distinct.
+func TestSpecAtLimitsBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and analyses three 10,000-message scenarios")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		sc, err := GenerateOne(boundSpec(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, changes, err := sc.Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(changes) < 1 {
+			t.Fatalf("seed %d: no changes drawn", seed)
+		}
+		if _, err := sys.Analyze(0); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

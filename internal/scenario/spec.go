@@ -71,6 +71,32 @@ type Spec struct {
 	MaxChanges int
 }
 
+// Generation limits. A spec arrives as untrusted input — in shard
+// requests, service uploads and campaign spec files — so Validate
+// refuses what the generator cannot draw correctly and what would make
+// one scenario cost without bound. Each names the spec key it bounds.
+const (
+	// BusLimit bounds max_buses. A scenario at every limit carries
+	// about 10,000 messages; building it allocates about 9 MB.
+	BusLimit = 16
+	// MessageLimit bounds max_messages. The generator numbers a bus's
+	// rows from a first identifier of at most 0x9F in steps of at most
+	// 3, and the last must still fit the 11-bit standard format (0x7FF).
+	MessageLimit = (0x7FF-0x9F)/3 + 1
+	// FlowLimit bounds flows_max. Forwarded copies take identifiers
+	// from 0x10 upward on the destination bus and must stay below the
+	// generator's lowest identifier, 0x80.
+	FlowLimit = 0x80 - 0x10
+	// ChangeLimit bounds max_changes, the what-if edits each scenario
+	// replays, and re-analyses after, one at a time.
+	ChangeLimit = 256
+	// GatewayPeriodFloor bounds gateway_period_min from below: it is
+	// the quantum the generator draws service periods in. Below it the
+	// simulated gateway activations multiply: at 1ns one small scenario
+	// simulates for seconds where 100us takes milliseconds.
+	GatewayPeriodFloor = 100 * time.Microsecond
+)
+
 // WithDefaults fills zero fields with the default corpus parameters.
 func (s Spec) WithDefaults() Spec {
 	if s.Count == 0 {
@@ -148,9 +174,16 @@ func (s Spec) Validate() error {
 	if s.MinBuses < 1 || s.MaxBuses < s.MinBuses {
 		return fmt.Errorf("scenario: bus range [%d, %d] invalid", s.MinBuses, s.MaxBuses)
 	}
+	if s.MaxBuses > BusLimit {
+		return fmt.Errorf("scenario: max_buses %d exceeds the limit %d", s.MaxBuses, BusLimit)
+	}
 	if s.MinMessages < 4 || s.MaxMessages < s.MinMessages {
 		return fmt.Errorf("scenario: message range [%d, %d] invalid (min 4)",
 			s.MinMessages, s.MaxMessages)
+	}
+	if s.MaxMessages > MessageLimit {
+		return fmt.Errorf("scenario: max_messages %d exceeds the limit %d (11-bit identifiers per bus)",
+			s.MaxMessages, MessageLimit)
 	}
 	for _, r := range s.BitRates {
 		if r <= 0 {
@@ -188,6 +221,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: gateway period range [%v, %v] invalid",
 			s.GatewayPeriodMin, s.GatewayPeriodMax)
 	}
+	if s.GatewayPeriodMin < GatewayPeriodFloor {
+		return fmt.Errorf("scenario: gateway_period_min %v is below the floor %v",
+			s.GatewayPeriodMin, GatewayPeriodFloor)
+	}
 	if s.FIFODepthMin < 1 || s.FIFODepthMax < s.FIFODepthMin {
 		return fmt.Errorf("scenario: FIFO depth range [%d, %d] invalid",
 			s.FIFODepthMin, s.FIFODepthMax)
@@ -195,8 +232,15 @@ func (s Spec) Validate() error {
 	if s.FlowsMin < 1 || s.FlowsMax < s.FlowsMin {
 		return fmt.Errorf("scenario: flow range [%d, %d] invalid", s.FlowsMin, s.FlowsMax)
 	}
+	if s.FlowsMax > FlowLimit {
+		return fmt.Errorf("scenario: flows_max %d exceeds the limit %d (forwarded identifiers below 0x80)",
+			s.FlowsMax, FlowLimit)
+	}
 	if s.MaxChanges < 1 {
 		return fmt.Errorf("scenario: max changes %d must be positive", s.MaxChanges)
+	}
+	if s.MaxChanges > ChangeLimit {
+		return fmt.Errorf("scenario: max_changes %d exceeds the limit %d", s.MaxChanges, ChangeLimit)
 	}
 	return nil
 }

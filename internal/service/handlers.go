@@ -398,7 +398,7 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 		// the wire and each worker brings its own. Flight, like Cache,
 		// is process-local and never travels — the recorder keeps the
 		// slowest scenarios for GET /v1/debug/slowest.
-		Cache:  s.shared,
+		Cache:  s.shared.Store,
 		Flight: s.flight,
 	}
 	// The job holds only the spec: scenarios are generated as they run,

@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -111,5 +115,44 @@ func TestTraceRemoteSpan(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace missing span %q (have %v)", want, names)
 		}
+	}
+}
+
+// TestNewReleasesDiskOnBadRemote: when the remote URL is refused, New
+// closes the disk tier it has just opened. With GC off no os.File
+// finalizer runs, so every leaked segment descriptor stays counted.
+func TestNewReleasesDiskOnBadRemote(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd")
+	}
+	dir := t.TempDir()
+	srv := mustServer(t, Config{Workers: 1, CacheDir: dir})
+	hs := httptest.NewServer(srv.Handler())
+	status, body := do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5))
+	hs.Close()
+	srv.Close()
+	if status != http.StatusOK {
+		t.Fatalf("analyze: %d %s", status, body)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(segs) == 0 {
+		t.Fatal("analyze left no segment in the cache dir")
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des)
+	}
+	start := fds()
+	for i := 0; i < 200; i++ {
+		if _, err := New(Config{CacheDir: dir, RemoteCache: "not a url"}); err == nil {
+			t.Fatal("New accepted a remote cache that is not a URL")
+		}
+	}
+	if end := fds(); end > start {
+		t.Fatalf("open descriptors grew from %d to %d over 200 refused New calls", start, end)
 	}
 }

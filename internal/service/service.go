@@ -86,9 +86,6 @@ type Config struct {
 	// ShardSize bounds scenarios per distributed shard (<= 0 selects
 	// campaign.DefaultShardSize).
 	ShardSize int
-	// PipelineDepth bounds in-flight shards per worker (<= 0 selects
-	// distrib.DefaultPipelineDepth; 1 disables pipelining).
-	PipelineDepth int
 	// ShardTimeout is the per-attempt deadline of one shard (<= 0
 	// selects the distrib default).
 	ShardTimeout time.Duration
@@ -147,10 +144,8 @@ func (c Config) withDefaults() Config {
 // expose with Handler.
 type Server struct {
 	cfg       Config
-	store     cache.Store   // session/analyze memo store (LRU, or Tiered over l2/remote)
-	l2        *cache.Disk   // nil unless CacheDir is configured
-	remote    *cache.Remote // nil unless RemoteCache is configured
-	shared    cache.Store   // the process-shared level under store (nil, l2, remote, or l2 over remote)
+	store     cache.Store   // session/analyze memo store (LRU, or Tiered over shared.Store)
+	shared    *cache.Shared // the process-shared disk and remote tiers under store
 	reg       *whatif.Registry
 	metrics   *metrics
 	adm       *admission
@@ -169,32 +164,20 @@ type Server struct {
 }
 
 // New returns a ready-to-serve Server. It fails only when a configured
-// CacheDir cannot be opened.
+// CacheDir cannot be opened or RemoteCache is not a base URL.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var l2 *cache.Disk
-	var remote *cache.Remote
+	shared, err := cache.OpenShared(cfg.CacheDir, cfg.CacheMaxBytes, cfg.RemoteCache)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	// The memo LRU sits on top of the shared level. Composition by
+	// nesting keeps the pinned-stats contract: session counters see
+	// only primary-level hits, so responses stay byte-identical for any
+	// cache state.
 	var store cache.Store = cache.NewLRU(cfg.StoreCapacity)
-	if cfg.CacheDir != "" {
-		var err error
-		if l2, err = cache.NewDisk(cfg.CacheDir, cfg.CacheMaxBytes); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
-	}
-	if cfg.RemoteCache != "" {
-		var err error
-		if remote, err = cache.NewRemote(cache.RemoteConfig{BaseURL: cfg.RemoteCache}); err != nil {
-			return nil, fmt.Errorf("service: remote cache: %w", err)
-		}
-	}
-	// The shared second level stacks local disk over the fleet tier
-	// (remote hits are promoted onto disk); the memo LRU sits on top.
-	// Composition by nesting keeps the pinned-stats contract: session
-	// counters see only primary-level hits, so responses stay
-	// byte-identical for any cache state.
-	shared := sharedLevel(l2, remote)
-	if shared != nil {
-		store = cache.NewTiered(store, shared)
+	if shared.Store != nil {
+		store = cache.NewTiered(store, shared.Store)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := whatif.NewRegistry(cfg.SessionTTL)
@@ -208,13 +191,11 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
-		l2:        l2,
-		remote:    remote,
 		shared:    shared,
 		reg:       reg,
 		metrics:   newMetrics(),
 		adm:       newAdmission(cfg.MaxClients, cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
-		worker:    distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: shared}),
+		worker:    distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: shared.Store}),
 		collector: obs.NewCollector(cfg.TraceSample, cfg.TraceBuffer, 0),
 		flight:    flight,
 		ctx:       ctx,
@@ -259,21 +240,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// sharedLevel composes the process-shared cache level from the
-// optional disk and remote tiers: disk alone, remote alone, disk over
-// remote, or nil — without ever boxing a typed nil into the interface.
-func sharedLevel(l2 *cache.Disk, remote *cache.Remote) cache.Store {
-	switch {
-	case l2 != nil && remote != nil:
-		return cache.NewTiered(l2, remote)
-	case l2 != nil:
-		return l2
-	case remote != nil:
-		return remote
-	}
-	return nil
-}
-
 // Handler returns the service's HTTP handler. Error responses that
 // escape the handlers (the mux's own 404/405) are rewritten into the
 // uniform JSON error body.
@@ -285,12 +251,7 @@ func (s *Server) Handler() http.Handler { return jsonFallback(s.mux) }
 // owning http.Server handles connection shutdown.
 func (s *Server) Close() {
 	s.cancel()
-	if s.remote != nil {
-		s.remote.Close()
-	}
-	if s.l2 != nil {
-		s.l2.Close()
-	}
+	s.shared.Close()
 }
 
 // StartDraining flips the admission gate: every subsequent application
@@ -449,16 +410,16 @@ func (s *Server) registerJob(job *campaign.Job, tr *obs.Trace, parent uint64) *c
 			cj.shards = ShardStatus{Total: len(job.PendingRanges(s.cfg.ShardSize)), Workers: len(s.cfg.WorkerAddrs)}
 			cj.bump()
 			cj.mu.Unlock()
-			return distrib.Run(traced(ctx), job, distrib.Options{
-				Workers:       s.cfg.WorkerAddrs,
-				ShardSize:     s.cfg.ShardSize,
-				PipelineDepth: s.cfg.PipelineDepth,
-				ShardTimeout:  s.cfg.ShardTimeout,
+			rep, _, err := distrib.RunStats(traced(ctx), job, distrib.Options{
+				Workers:      s.cfg.WorkerAddrs,
+				ShardSize:    s.cfg.ShardSize,
+				ShardTimeout: s.cfg.ShardTimeout,
 				OnEvent: func(e distrib.Event) {
 					s.shardObs.observe(e)
 					cj.record(e)
 				},
 			})
+			return rep, err
 		}
 	} else {
 		cj.run = func(ctx context.Context) (*campaign.Report, error) {

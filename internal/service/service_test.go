@@ -124,6 +124,25 @@ func TestAnalyzeMalformedSpec(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSpecLimits: an uploaded spec beyond the generation limits
+// is refused with 400 naming its key, before any scenario is built.
+func TestAnalyzeSpecLimits(t *testing.T) {
+	_, base := newTestServer(t)
+	for key, body := range map[string]string{
+		"max_messages":       "count = 1\nmin_messages = 1000\nmax_messages = 1000\n",
+		"flows_max":          "count = 1\nmin_buses = 2\nmax_buses = 2\nmin_messages = 200\nmax_messages = 200\nflows_min = 150\nflows_max = 150\n",
+		"gateway_period_min": "count = 1\ngateway_period_min = \"1ns\"\ngateway_period_max = \"1ns\"\n",
+		"max_buses":          "count = 1\nmin_buses = 2000\nmax_buses = 2000\n",
+		"max_changes":        "count = 1\nmax_changes = 2000000\n",
+	} {
+		status, data := do(t, "POST", base+"/v1/analyze", body)
+		var e errorBody
+		if err := json.Unmarshal(data, &e); status != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, key) {
+			t.Errorf("%s: %d %s, want 400 naming %s", key, status, data, key)
+		}
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, base := newTestServer(t)
 	status, body := do(t, "POST", base+"/v1/sessions", testSpec(t, 5))

@@ -72,7 +72,7 @@ type shardCounters struct {
 	droppedWorkers atomic.Uint64
 	latencyNS      atomic.Uint64 // summed latency of completed shards
 	wireBytes      atomic.Uint64 // shard response bodies as they travelled
-	inflight       atomic.Int64  // dispatched minus settled (pipeline occupancy)
+	inflight       atomic.Int64  // dispatched minus settled (at most one per live worker)
 }
 
 func (c *shardCounters) observe(e distrib.Event) {
@@ -219,7 +219,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 			p.Uint(f.name, obs.Labels{"tier", t.name}, f.v(t.cs))
 		}
 	}
-	if s.remote != nil {
+	if s.shared.Remote != nil {
 		s.promRemote(p)
 	}
 
@@ -254,7 +254,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Value("symtago_shard_latency_seconds_sum", nil, float64(s.shardObs.latencyNS.Load())/1e9)
 	p.Family("symtago_shard_wire_bytes_total", "counter", "Shard response bytes as they travelled (post-compression, coordinator side).")
 	p.Uint("symtago_shard_wire_bytes_total", nil, s.shardObs.wireBytes.Load())
-	p.Family("symtago_shard_inflight", "gauge", "Shards currently in flight across all workers (pipeline occupancy).")
+	p.Family("symtago_shard_inflight", "gauge", "Shards currently in flight, at most one per live worker.")
 	p.Value("symtago_shard_inflight", nil, float64(s.shardObs.inflight.Load()))
 	p.Family("symtago_worker_shards_served_total", "counter", "Shards computed by this process's worker endpoint.")
 	p.Uint("symtago_worker_shards_served_total", nil, s.worker.ShardsServed())
@@ -282,7 +282,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 // the write-behind pipeline, the circuit breaker's state and history,
 // and the fetch-latency histogram.
 func (s *Server) promRemote(p *obs.Prom) {
-	rs := s.remote.RemoteStats()
+	rs := s.shared.Remote.RemoteStats()
 	p.Family("symtago_remote_cache_gets_total", "counter", "Lookups reaching the remote tier.")
 	p.Uint("symtago_remote_cache_gets_total", nil, rs.Gets)
 	p.Family("symtago_remote_cache_errors_total", "counter", "Remote transport failures and unexpected statuses.")

@@ -11,7 +11,7 @@
 #     top-level UPPERCASE file (README.md, DESIGN.md, BENCH_PR10.json…);
 #     tokens containing globs (*), ellipses (...) or template
 #     placeholders (<...>, {...}) are skipped
-#   * backtick-quoted flag tokens (`-pipeline-depth`), checked as
+#   * backtick-quoted flag tokens (`-shard-timeout`), checked as
 #     flag-definition string literals in cmd/symtago
 #   * backtick-quoted package-qualified exported names (`campaign.Job`,
 #     `scenario.Generate(spec)`) whose package is a directory under

@@ -2,9 +2,9 @@
 # distrib-gate.sh — the kill-a-worker correctness gate.
 #
 # Starts two shard workers, runs the same campaign twice — serially and
-# distributed across the workers (streamed shard specs, pipelined
-# dispatch, compressed rows) — and KILLs one worker as soon as it has
-# completed its first shard. The coordinator must retry the lost
+# distributed across the workers (streamed shard specs, one shard in
+# flight per worker, compressed rows) — and KILLs one worker as soon as
+# it has completed its first shard. The coordinator must retry the lost
 # worker's shards on the survivor and the folded report must stay
 # byte-identical to the serial run. Any diff (or a failed campaign) is
 # a correctness bug, never a flake: the corpus is seeded and rows fold
@@ -49,9 +49,9 @@ campaign_flags=(-n 512 -seed 12 -seeds 1 -duration 50ms)
 echo "distrib-gate: serial reference run"
 "$bin" campaign "${campaign_flags[@]}" >"$work/serial.txt"
 
-echo "distrib-gate: distributed run (pipelined, kill worker 2 after its first shard)"
+echo "distrib-gate: distributed run (kill worker 2 after its first shard)"
 "$bin" campaign "${campaign_flags[@]}" \
-  -workers-addr "http://$w1_addr,http://$w2_addr" -shard 16 -pipeline-depth 4 \
+  -workers-addr "http://$w1_addr,http://$w2_addr" -shard 16 \
   >"$work/distributed.txt" 2>"$work/shards.log" &
 camp=$!
 for _ in $(seq 600); do
@@ -79,4 +79,4 @@ if ! grep -Eq 'distributed: [0-9]+ shards, [0-9]+ retries, [0-9]+ workers droppe
   sed -n '1,20p' "$work/shards.log" >&2
   exit 1
 fi
-echo "distrib-gate: PASS — folded report byte-identical to the serial run under a worker kill (pipelined)"
+echo "distrib-gate: PASS — folded report byte-identical to the serial run under a worker kill"
