@@ -630,9 +630,10 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkRunBatch measures the parallel batch layer: a fan of seeds
-// sharded over the worker pool. Throughput should scale with
-// GOMAXPROCS (compare -cpu 1,4,...).
+// BenchmarkRunBatch measures the parallel seed fan (sim.RunSeeds): a
+// fan of seeds sharded over the worker pool. Throughput should scale
+// with GOMAXPROCS (compare -cpu 1,4,...). The name is kept as a
+// BENCH_PR10.json key.
 func BenchmarkRunBatch(b *testing.B) {
 	k := experiments.DefaultMatrix()
 	specs := make([]sim.MessageSpec, len(k.Messages))

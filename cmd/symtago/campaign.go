@@ -80,6 +80,11 @@ func cmdCampaign(args []string) error {
 	if seedSet || spec.Seed == 0 {
 		spec.Seed = *seed
 	}
+	// An out-of-range value is a usage error whether the spec file or a
+	// flag set it, so the merged spec is checked before any work.
+	if err := spec.WithDefaults().Validate(); err != nil {
+		return usageErrf("campaign: %v", err)
+	}
 
 	cfg := campaign.Config{
 		Workers:  *workers,

@@ -81,7 +81,17 @@ func TestCacheServerRequiresCacheDir(t *testing.T) {
 // that cannot be read is a runtime failure (exit 1). None of these
 // cases gets as far as running anything.
 func TestExitCodeContract(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-spec.toml")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no-such-spec.toml")
+	specFile := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	tooManyChanges := specFile("changes.toml", "max_changes = 2000000\n")
+	emptyMessages := specFile("messages.toml", "min_messages = 9\nmax_messages = 5\n")
 	for _, tc := range []struct {
 		name  string
 		run   func([]string) error
@@ -94,7 +104,12 @@ func TestExitCodeContract(t *testing.T) {
 		{"serve oversized -shard", cmdServe, []string{"-shard", "4097"}, true},
 		{"campaign negative -n", cmdCampaign, []string{"-n", "-1"}, true},
 		{"worker unknown flag", cmdWorker, []string{"-no-such-flag"}, true},
+		{"campaign -spec max_changes beyond its limit", cmdCampaign, []string{"-spec", tooManyChanges}, true},
+		{"campaign -spec empty message range", cmdCampaign, []string{"-spec", emptyMessages}, true},
+		{"simulate unknown -controller", cmdSimulate, []string{"-controller", "bogus"}, true},
+		{"netsim zero -seeds", cmdNetsim, []string{"-seeds", "0"}, true},
 		{"campaign missing -spec file", cmdCampaign, []string{"-spec", missing}, false},
+		{"simulate missing -kmatrix file", cmdSimulate, []string{"-kmatrix", missing}, false},
 	} {
 		err := tc.run(tc.args)
 		if err == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/contenthash"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -273,31 +274,56 @@ func Run(spec scenario.Spec, cfg Config) (*Report, error) {
 	return j.Run(context.Background())
 }
 
-// RunScenarios executes an already-generated slice of scenarios —
-// typically one drawn by scenario.GenerateRange on a shard worker —
-// and returns their rows in slice order. Rows are byte-identical to a
+// RunRange executes scenarios [start, start+count) of the corpus spec
+// describes — a shard on a worker — and returns their rows in index
+// order plus the partial fingerprint of exactly that slice. Each
+// scenario is drawn as its pool slot claims it, so a shard holds one
+// plan per slot, never the whole slice. Rows are byte-identical to a
 // local Run of the same indices, because every scenario is independent
 // (private session store, deterministic pipeline). On context
-// cancellation the partial slice is discarded and the context error
+// cancellation the partial shard is discarded and the context error
 // returned — shards are retried whole.
-func RunScenarios(ctx context.Context, scs []scenario.Scenario, cfg Config) ([]ScenarioResult, error) {
-	if len(scs) == 0 {
-		return nil, fmt.Errorf("campaign: empty scenario slice")
+func RunRange(ctx context.Context, spec scenario.Spec, start, count int, cfg Config) ([]ScenarioResult, scenario.Partial, error) {
+	spec = spec.WithDefaults()
+	if err := scenario.CheckRange(spec, start, count); err != nil {
+		return nil, scenario.Partial{}, fmt.Errorf("campaign: %w", err)
+	}
+	if count == 0 {
+		return nil, scenario.Partial{}, fmt.Errorf("campaign: empty scenario range")
 	}
 	cfg = cfg.withDefaults()
 	ctx, ssp := obs.StartSpan(ctx, "shard.run")
-	ssp.SetInt("start", int64(scs[0].Index))
-	ssp.SetInt("count", int64(len(scs)))
+	ssp.SetInt("start", int64(start))
+	ssp.SetInt("count", int64(count))
 	defer ssp.End()
-	rows := make([]ScenarioResult, len(scs))
-	err := runEach(ctx, len(scs), cfg.Workers, func(k int) (err error) {
-		rows[k], err = runOne(ctx, &scs[k], cfg)
+	rows := make([]ScenarioResult, count)
+	leaves := make([]contenthash.Digest, count)
+	err := runEach(ctx, count, cfg.Workers, func(k int) (err error) {
+		rows[k], leaves[k], err = runIndex(ctx, spec, start+k, cfg)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, scenario.Partial{}, err
 	}
-	return rows, nil
+	var partial scenario.Partial
+	for _, leaf := range leaves {
+		partial.Add(leaf)
+	}
+	return rows, partial, nil
+}
+
+// runIndex draws scenario i of the (defaulted) spec, runs it and
+// digests its leaf: the per-scenario body of Job.Run and RunRange.
+func runIndex(ctx context.Context, spec scenario.Spec, i int, cfg Config) (ScenarioResult, contenthash.Digest, error) {
+	sc, err := scenario.GenerateOne(spec, i)
+	if err != nil {
+		return ScenarioResult{}, contenthash.Digest{}, err
+	}
+	row, err := runOne(ctx, sc, cfg)
+	if err != nil {
+		return ScenarioResult{}, contenthash.Digest{}, err
+	}
+	return row, scenario.Leaf(sc), nil
 }
 
 // runEach is the campaign's one parallel loop: it runs fn(k) for every

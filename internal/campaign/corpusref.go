@@ -31,7 +31,8 @@ type CorpusRef struct {
 }
 
 // NewSpecRef captures a corpus by its generation spec alone, with no
-// fingerprint. Receivers draw their slice with ResolveRange.
+// fingerprint. Receivers check their slice with Range and run it with
+// RunRange.
 func NewSpecRef(spec scenario.Spec) (CorpusRef, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -59,23 +60,21 @@ func (r CorpusRef) decodeSpec() (scenario.Spec, error) {
 	return spec, nil
 }
 
-// ResolveRange draws only scenarios [start, start+count) of the
-// referenced corpus, plus the additive partial fingerprint of exactly
-// that slice. The cost is O(count) regardless of corpus size — the
-// worker-side half of the shard protocol. The embedded fingerprint,
-// if any, is not checked here: a range cannot prove corpus identity,
-// so verification happens at the coordinator when the per-shard
-// partials fold to the full fingerprint.
-func (r CorpusRef) ResolveRange(start, count int) ([]scenario.Scenario, scenario.Partial, error) {
+// Range decodes the referenced spec and checks that scenarios
+// [start, start+count) lie inside its corpus — the worker-side check of
+// the shard protocol, made before any scenario is drawn. The embedded
+// fingerprint, if any, is not checked here: a range cannot prove
+// corpus identity, so verification happens at the coordinator when the
+// per-shard partials fold to the full fingerprint.
+func (r CorpusRef) Range(start, count int) (scenario.Spec, error) {
 	spec, err := r.decodeSpec()
 	if err != nil {
-		return nil, scenario.Partial{}, err
+		return scenario.Spec{}, err
 	}
-	scs, err := scenario.GenerateRange(spec, start, count)
-	if err != nil {
-		return nil, scenario.Partial{}, fmt.Errorf("campaign: corpus ref range: %w", err)
+	if err := scenario.CheckRange(spec, start, count); err != nil {
+		return scenario.Spec{}, fmt.Errorf("campaign: corpus ref range: %w", err)
 	}
-	return scs, scenario.PartialOf(scs), nil
+	return spec, nil
 }
 
 // foldFingerprint is the fingerprint of the corpus the (defaulted)

@@ -281,15 +281,10 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 
 	err := runEach(ctx, len(pending), j.cfg.Workers, func(k int) error {
 		i := pending[k]
-		sc, err := scenario.GenerateOne(j.spec, i)
+		row, leaf, err := runIndex(ctx, j.spec, i, j.cfg)
 		if err != nil {
 			return err
 		}
-		row, err := runOne(ctx, sc, j.cfg)
-		if err != nil {
-			return err
-		}
-		leaf := scenario.Leaf(sc)
 		j.mu.Lock()
 		j.rows[i] = row
 		j.done[i] = true

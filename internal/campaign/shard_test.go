@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,12 +12,12 @@ import (
 
 // TestRunShardFoldsIdentical rebuilds a campaign from shards the way a
 // distributed run folds it: the corpus travels as a spec reference,
-// each shard is resolved and run the way a worker does (ResolveRange,
-// then RunScenarios, through the WireRow transport encoding), shards
-// install in reverse dispatch order, and the folded report must be the
-// oracle's. A duplicate install (a retried shard that completed twice)
-// is ignored, not double-counted, and a range outside the corpus is
-// refused.
+// each shard is checked and run the way a worker does (Range, then
+// RunRange, through the WireRow transport encoding), shards install in
+// reverse dispatch order, and the folded report must be the oracle's.
+// A duplicate install (a retried shard that completed twice) is
+// ignored, not double-counted, and a range outside the corpus is
+// refused before anything is allocated.
 func TestRunShardFoldsIdentical(t *testing.T) {
 	spec := jobSpec()
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
@@ -27,11 +28,11 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	}
 	runShard := func(r ShardRange) ([]ScenarioResult, scenario.Partial) {
 		t.Helper()
-		scs, partial, err := ref.ResolveRange(r.Start, r.Count)
+		rspec, err := ref.Range(r.Start, r.Count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := RunScenarios(context.Background(), scs, cfg)
+		rows, partial, err := RunRange(context.Background(), rspec, r.Start, r.Count, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,16 +78,21 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	if done, tot := j.Progress(); done != tot {
 		t.Fatalf("duplicate install corrupted progress: %d/%d", done, tot)
 	}
-	if _, _, err := ref.ResolveRange(total-2, 5); err == nil {
-		t.Fatal("out-of-range shard accepted")
+	for _, r := range []ShardRange{{total - 2, 5}, {math.MaxInt, 1}, {1, math.MaxInt}} {
+		if _, err := ref.Range(r.Start, r.Count); err == nil {
+			t.Fatalf("out-of-range shard %+v accepted", r)
+		}
+		if _, _, err := RunRange(context.Background(), spec, r.Start, r.Count, cfg); err == nil {
+			t.Fatalf("out-of-range shard %+v run", r)
+		}
 	}
 }
 
-// TestRunScenariosSharedCacheIdentical runs the whole corpus as one
+// TestRunRangeSharedCacheIdentical runs the whole corpus as one
 // shard over a shared disk level twice: rows — cache counters
 // included — must fold to the oracle's report both cold and warm, and
 // the warm pass must be served predominantly from the disk level.
-func TestRunScenariosSharedCacheIdentical(t *testing.T) {
+func TestRunRangeSharedCacheIdentical(t *testing.T) {
 	spec := jobSpec()
 	base := Config{Workers: 2, Seeds: 1, Duration: 50e6}
 	want := oracle(t, spec, base)
@@ -99,11 +105,7 @@ func TestRunScenariosSharedCacheIdentical(t *testing.T) {
 	shared := base
 	shared.Cache = disk
 	for pass, name := range []string{"cold", "warm"} {
-		scs, err := scenario.GenerateRange(spec, 0, spec.Count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := RunScenarios(context.Background(), scs, shared)
+		rows, partial, err := RunRange(context.Background(), spec, 0, spec.Count, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func TestRunScenariosSharedCacheIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.InstallShard(rows, scenario.PartialOf(scs)); err != nil {
+		if err := j.InstallShard(rows, partial); err != nil {
 			t.Fatal(err)
 		}
 		got, err := j.Run(context.Background())

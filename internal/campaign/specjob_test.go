@@ -31,19 +31,15 @@ func TestSpecJobMatchesOracle(t *testing.T) {
 	}
 }
 
-// shardRows computes a shard exactly the way a worker does: generate
-// the slice, run it, fold its partial.
+// shardRows computes a shard exactly the way a worker does: run the
+// range, folding its partial.
 func shardRows(t *testing.T, spec scenario.Spec, cfg Config, start, count int) ([]ScenarioResult, scenario.Partial) {
 	t.Helper()
-	scs, err := scenario.GenerateRange(spec, start, count)
+	rows, partial, err := RunRange(context.Background(), spec, start, count, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunScenarios(context.Background(), scs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows, scenario.PartialOf(scs)
+	return rows, partial
 }
 
 // TestSpecJobInstallShards: a job fed entirely by worker-style shards

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -389,6 +390,26 @@ func TestDistribShardSizeBounded(t *testing.T) {
 	want := fmt.Sprintf("exceeds the maximum %d", campaign.MaxShardSize)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
 		t.Fatalf("oversized shard: got %s %q, want 400 %q", resp.Status, msg, want)
+	}
+
+	// Ranges whose start+count overflows are refused before any
+	// scenario is drawn or any row allocated.
+	for _, r := range []campaign.ShardRange{{Start: math.MaxInt, Count: 1}, {Start: 1, Count: math.MaxInt}} {
+		body, err := json.Marshal(ShardRequest{
+			Version: WireVersion, Corpus: ref, Start: r.Start, Count: r.Count,
+			Config: NewShardConfig(testConfig()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(w.URL+ShardPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("range %+v: got %s, want 400", r, resp.Status)
+		}
 	}
 
 	job, err := campaign.NewSpecJob(testSpec(), testConfig())

@@ -123,11 +123,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	root.SetInt("count", int64(req.Count))
 	root.SetInt("version", int64(req.Version))
 
-	// Draw only the requested slice — O(count) regardless of corpus
-	// size — and fold its partial fingerprint.
-	_, gsp := obs.StartSpan(ctx, "corpus.range")
-	scs, partial, err := req.Corpus.ResolveRange(req.Start, req.Count)
-	gsp.End()
+	// Refuse a range outside the corpus before any work; the shard then
+	// draws each scenario as its pool slot claims it.
+	spec, err := req.Corpus.Range(req.Start, req.Count)
 	if err != nil {
 		root.End()
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -135,7 +133,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	cfg := req.Config.Campaign(w.cfg.Workers)
 	cfg.Cache = w.cfg.Cache
-	rows, err := campaign.RunScenarios(ctx, scs, cfg)
+	rows, partial, err := campaign.RunRange(ctx, spec, req.Start, req.Count, cfg)
 	root.End()
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {

@@ -6,43 +6,24 @@ import (
 	"repro/internal/parallel"
 )
 
-// Job is one network simulation of a batch.
-type Job struct {
-	// Topology is the network under simulation.
-	Topology *Topology
-	// Config parameterises the run; Seed gives each job its own RNGs,
-	// so workers never share random state.
-	Config Config
-}
-
-// RunBatch simulates every job on a worker pool and returns the results
-// in job order. workers <= 0 selects GOMAXPROCS. Every run is
-// self-contained (its RNGs derive from its own seed), so results are
-// independent of the worker count and schedule; the first failing job
-// (by index) aborts the batch with its error.
-func RunBatch(jobs []Job, workers int) ([]*Result, error) {
-	results := make([]*Result, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel.For(len(jobs), workers, func(_, i int) {
-		results[i], errs[i] = Run(jobs[i].Topology, jobs[i].Config)
+// RunSeeds fans the same topology over many seeds — the network-level
+// Monte-Carlo pattern — and returns one result per seed, in seed order.
+// workers <= 0 selects GOMAXPROCS. Every run is self-contained (its
+// RNGs derive from its own seed) and results are written by index, so
+// they are independent of the worker count and schedule; the first
+// failing run (by index) fails the fan.
+func RunSeeds(topo *Topology, cfg Config, seeds []int64, workers int) ([]*Result, error) {
+	results := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	parallel.For(len(seeds), workers, func(_, i int) {
+		c := cfg
+		c.Seed = seeds[i]
+		results[i], errs[i] = Run(topo, c)
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("netsim: batch job %d: %w", i, err)
+			return nil, fmt.Errorf("netsim: seed %d: %w", seeds[i], err)
 		}
 	}
 	return results, nil
-}
-
-// RunSeeds fans the same topology over many seeds — the network-level
-// Monte-Carlo pattern — and returns one result per seed, in seed order.
-// workers <= 0 selects GOMAXPROCS.
-func RunSeeds(topo *Topology, cfg Config, seeds []int64, workers int) ([]*Result, error) {
-	jobs := make([]Job, len(seeds))
-	for i, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		jobs[i] = Job{Topology: topo, Config: c}
-	}
-	return RunBatch(jobs, workers)
 }

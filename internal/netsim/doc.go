@@ -15,10 +15,13 @@
 // scenarios, shard workers, the service's simulate route and the
 // network-validation experiment.
 //
-// Architecture: each CAN bus is an instance of the indexed-heap event
-// calendar of package sim (release heap, rank heaps, inlined pending
-// slot); a single global event heap merges the per-bus calendars with
-// gateway service activations and TDMA slot openings. The run is
+// Architecture: each CAN bus is one state machine of package sim
+// (sim.Bus: release calendar, arbitration, transmission start); a
+// single global event heap steps the buses and merges their release
+// wake-ups and transmission ends with gateway service activations and
+// TDMA slot openings. netsim keeps only what is network-specific: the
+// event heap, each bus's busy and in-flight state, origin instants for
+// path tracing, gateway-fed streams, TDMA segments and gateways. The run is
 // single-threaded and every tie at an instant is broken by a fixed
 // (kind, component, payload) order, so one seed always produces one
 // result bit for bit; parallelism happens across seeds (RunSeeds), not

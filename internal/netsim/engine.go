@@ -2,17 +2,16 @@ package netsim
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/sim"
-	"repro/internal/tdma"
 )
 
-// The network engine merges per-bus event calendars (the indexed-heap
-// structures of package sim) under one global event heap. Within one
-// instant, events are processed in a fixed kind order:
+// The network engine steps one CAN bus state machine of package sim
+// per bus (sim.Bus: release calendar, arbitration, transmission start)
+// from one global event heap. Within one instant, events are processed
+// in a fixed kind order:
 //
 //  1. releases (local calendars draw new instances),
 //  2. gateway service activations (so an instance arriving at exactly
@@ -71,82 +70,19 @@ const (
 	elemTDMA = int8(1)
 )
 
-// stream is the runtime state of one CAN message (see sim.stream); the
-// additions are the origin timestamp carried for path tracing and the
-// external flag marking gateway-fed streams.
-type stream struct {
-	spec        sim.MessageSpec
-	rank        int32
-	node        int32
-	nextNominal time.Duration
-	nextActual  time.Duration
-	queuedAt    time.Duration
-	birth       time.Duration
-	attempt     int
-	hasPending  bool
-	external    bool
-}
-
-// advance draws the next jittered release, or -1 past the horizon.
-func (st *stream) advance(rng *rand.Rand, horizon time.Duration) {
-	if st.nextNominal >= horizon {
-		st.nextActual = -1
-		return
-	}
-	actual := st.nextNominal
-	if j := st.spec.Event.Jitter; j > 0 {
-		actual += time.Duration(rng.Int63n(int64(j) + 1))
-	}
-	st.nextActual = actual
-	st.nextNominal += st.spec.Event.Period
-}
-
-// busEngine is one CAN bus instance of the calendar engine.
+// busEngine is one CAN bus: package sim's state machine plus what the
+// network adds — the bus's place on the global calendar and the origin
+// instants of gateway-fed instances.
 type busEngine struct {
-	spec    BusSpec
-	rng     *rand.Rand
-	streams []stream
-
-	calendar []int32
-	dueBuf   []int32
-	relAt    func(int32) time.Duration // calendar key accessor
-
-	rankToStream []int32
-	ready        sim.RankHeap
-	heads        sim.RankHeap
-	nodeQueues   []sim.Ring
-
-	errs []time.Duration
+	can    sim.Bus
+	fed    []bool          // streams released by gateway forwarding
+	origin []time.Duration // origin instant of each fed stream's latest instance
 
 	busy          bool
-	busyUntil     time.Duration
 	inFlight      int32
 	inFlightBirth time.Duration
 	armedRelease  time.Duration
 	dirty         bool
-
-	res BusResult
-}
-
-// tdmaStream is the runtime state of one time-triggered message.
-type tdmaStream struct {
-	spec        tdma.Message
-	nextNominal time.Duration
-	nextActual  time.Duration
-	external    bool
-}
-
-func (st *tdmaStream) advance(rng *rand.Rand, horizon time.Duration) {
-	if st.nextNominal >= horizon {
-		st.nextActual = -1
-		return
-	}
-	actual := st.nextNominal
-	if j := st.spec.Event.Jitter; j > 0 {
-		actual += time.Duration(rng.Int63n(int64(j) + 1))
-	}
-	st.nextActual = actual
-	st.nextNominal += st.spec.Event.Period
 }
 
 // tdmaEntry is one queued instance waiting for its slot.
@@ -158,13 +94,10 @@ type tdmaEntry struct {
 // tdmaEngine is one time-triggered segment: per-message FIFO queues
 // drained by the static slot cycle.
 type tdmaEngine struct {
-	spec    TDMABusSpec
-	rng     *rand.Rand
-	streams []tdmaStream
-
-	calendar []int32
-	dueBuf   []int32
-	relAt    func(int32) time.Duration // calendar key accessor
+	spec TDMABusSpec
+	rng  *rand.Rand
+	rel  []sim.Releases
+	cal  sim.Calendar
 
 	queues     [][]tdmaEntry
 	slotOwner  []int32
@@ -300,77 +233,31 @@ func newEngine(topo *Topology, cfg Config) (*engine, error) {
 		return s
 	}
 
-	// CAN buses.
+	// CAN buses. The per-bus fed marks and origin slots are cut from one
+	// array each.
 	e.buses = make([]busEngine, len(topo.Buses))
+	streams := 0
+	for _, b := range topo.Buses {
+		streams += len(b.Messages)
+	}
+	fed := make([]bool, streams)
+	origin := make([]time.Duration, streams)
 	for bi := range topo.Buses {
 		spec := topo.Buses[bi]
 		n := len(spec.Messages)
 		b := &e.buses[bi]
-		b.spec = spec
-		b.rng = rand.New(rand.NewSource(nextSeed()))
-		b.streams = make([]stream, n)
-		b.calendar = make([]int32, 0, n)
-		b.dueBuf = make([]int32, 0, n)
-		b.errs = sortedErrors(spec.Errors)
+		b.fed, fed = fed[:n:n], fed[n:]
+		b.origin, origin = origin[:n:n], origin[n:]
+		for i := range b.fed {
+			b.fed[i] = external[elem{kind: elemCAN, bus: int32(bi), idx: int32(i)}]
+		}
+		b.can = sim.NewBus(spec.Messages, sim.Config{
+			Bus: spec.Bus, Duration: cfg.Duration, Seed: nextSeed(),
+			Controller: spec.Controller, Stuffing: spec.Stuffing, Errors: spec.Errors,
+			RecordTrace: cfg.RecordTrace, TraceLimit: cfg.TraceLimit,
+		}, b.fed)
 		b.inFlight = -1
 		b.armedRelease = -1
-		b.relAt = func(i int32) time.Duration { return b.streams[i].nextActual }
-		b.res = BusResult{Name: spec.Name, Stats: make([]sim.Stats, n)}
-		for i, m := range spec.Messages {
-			b.res.Stats[i] = sim.Stats{Name: m.Name, MinResponse: -1}
-			b.streams[i] = stream{
-				spec:        m,
-				nextNominal: m.Offset,
-				external:    external[elem{kind: elemCAN, bus: int32(bi), idx: int32(i)}],
-			}
-		}
-		// Static priority ranks over all streams, external included —
-		// forwarded messages arbitrate like any other.
-		byPriority := make([]int32, n)
-		for i := range byPriority {
-			byPriority[i] = int32(i)
-		}
-		sort.Slice(byPriority, func(a, c int) bool {
-			sa, sc := &spec.Messages[byPriority[a]], &spec.Messages[byPriority[c]]
-			return sa.Frame.ID.HigherPriorityThan(sc.Frame.ID, sa.Frame.Format, sc.Frame.Format)
-		})
-		b.rankToStream = byPriority
-		for rank, idx := range byPriority {
-			b.streams[idx].rank = int32(rank)
-		}
-		if spec.Controller == sim.BasicCAN {
-			nodeIdx := map[string]int32{}
-			counts := []int{}
-			for i := range b.streams {
-				name := b.streams[i].spec.Node
-				id, ok := nodeIdx[name]
-				if !ok {
-					id = int32(len(counts))
-					nodeIdx[name] = id
-					counts = append(counts, 0)
-				}
-				b.streams[i].node = id
-				counts[id]++
-			}
-			b.nodeQueues = make([]sim.Ring, len(counts))
-			for id, c := range counts {
-				b.nodeQueues[id] = sim.NewRing(c)
-			}
-			b.heads = make(sim.RankHeap, 0, len(counts))
-		} else {
-			b.ready = make(sim.RankHeap, 0, n)
-		}
-		// First releases drawn in input order, as in package sim.
-		for i := range b.streams {
-			if b.streams[i].external {
-				b.streams[i].nextActual = -1
-				continue
-			}
-			b.streams[i].advance(b.rng, cfg.Duration)
-			if b.streams[i].nextActual >= 0 {
-				b.calendar = calPush(b.calendar, b.relAt, int32(i))
-			}
-		}
 	}
 
 	// TDMA segments.
@@ -381,23 +268,18 @@ func newEngine(topo *Topology, cfg Config) (*engine, error) {
 		d := &e.tdmas[di]
 		d.spec = spec
 		d.rng = rand.New(rand.NewSource(nextSeed()))
-		d.streams = make([]tdmaStream, n)
-		d.calendar = make([]int32, 0, n)
-		d.dueBuf = make([]int32, 0, n)
+		d.rel = make([]sim.Releases, n)
+		d.cal = sim.NewCalendar(n)
 		d.queues = make([][]tdmaEntry, n)
 		d.wire = make([]time.Duration, n)
 		d.cycle = spec.Schedule.Cycle()
 		d.armedRelease = -1
-		d.relAt = func(i int32) time.Duration { return d.streams[i].nextActual }
 		d.res = BusResult{Name: spec.Name, Stats: make([]sim.Stats, n)}
 		owner := map[string]int32{}
 		for i, m := range spec.Messages {
 			owner[m.Name] = int32(i)
 			d.res.Stats[i] = sim.Stats{Name: m.Name, MinResponse: -1}
-			d.streams[i] = tdmaStream{
-				spec:     m,
-				external: external[elem{kind: elemTDMA, bus: int32(di), idx: int32(i)}],
-			}
+			d.rel[i] = sim.NewReleases(m.Event, 0)
 			d.wire[i] = spec.Bus.FrameTime(m.Frame, spec.Stuffing)
 		}
 		var off time.Duration
@@ -410,15 +292,12 @@ func newEngine(topo *Topology, cfg Config) (*engine, error) {
 			d.slotOffset = append(d.slotOffset, off)
 			off += sl.Length
 		}
-		for i := range d.streams {
-			if d.streams[i].external {
-				d.streams[i].nextActual = -1
+		for i := range d.rel {
+			if external[elem{kind: elemTDMA, bus: int32(di), idx: int32(i)}] {
 				continue
 			}
-			d.streams[i].advance(d.rng, cfg.Duration)
-			if d.streams[i].nextActual >= 0 {
-				d.calendar = calPush(d.calendar, d.relAt, int32(i))
-			}
+			d.rel[i].Advance(d.rng, cfg.Duration)
+			d.cal.Push(int32(i), d.rel[i].Next())
 		}
 	}
 
@@ -511,7 +390,7 @@ func (e *engine) dispatch(ev event, t time.Duration) {
 	case evRelease:
 		b := &e.buses[ev.idx]
 		b.armedRelease = -1
-		e.releaseDueCAN(ev.idx, t)
+		b.can.ReleaseDue(t)
 		e.armRelease(ev.idx)
 		e.markDirty(ev.idx)
 	case evTDMARelease:
@@ -545,178 +424,45 @@ func (e *engine) markDirty(bi int32) {
 }
 
 // ---------------------------------------------------------------------
-// CAN bus mechanics (mirroring the single-bus engine of package sim).
+// CAN bus driving: the state machine is package sim's.
 // ---------------------------------------------------------------------
 
-// releaseDueCAN queues every local release up to and including t, in
-// input order per instant for reproducible RNG consumption.
-func (e *engine) releaseDueCAN(bi int32, t time.Duration) {
-	b := &e.buses[bi]
-	due := b.dueBuf[:0]
-	for len(b.calendar) > 0 && b.streams[b.calendar[0]].nextActual <= t {
-		var i int32
-		b.calendar, i = calPop(b.calendar, b.relAt)
-		due = append(due, i)
-	}
-	insertionSort(due)
-	for _, i := range due {
-		st := &b.streams[i]
-		for st.nextActual >= 0 && st.nextActual <= t {
-			e.release(bi, i, st.nextActual, st.nextActual)
-			st.advance(b.rng, e.cfg.Duration)
-		}
-		if st.nextActual >= 0 {
-			b.calendar = calPush(b.calendar, b.relAt, i)
-		}
-	}
-	b.dueBuf = due[:0]
-}
-
-// release queues an instance on bus bi: a local release (birth == at)
-// or a gateway injection (birth carried from the origin). An overwrite
-// of a still-pending predecessor is the message-loss event.
-func (e *engine) release(bi, i int32, at, birth time.Duration) {
-	b := &e.buses[bi]
-	st := &b.streams[i]
-	stats := &b.res.Stats[i]
-	stats.Released++
-	if st.hasPending {
-		stats.Lost++
-		e.pathDrop(elem{kind: elemCAN, bus: bi, idx: i})
-	} else if b.spec.Controller == sim.BasicCAN {
-		q := &b.nodeQueues[st.node]
-		if q.Len() == 0 {
-			b.heads.Push(st.rank)
-		}
-		q.Push(i)
-	} else {
-		b.ready.Push(st.rank)
-	}
-	st.hasPending = true
-	st.queuedAt = at
-	st.birth = birth
-	st.attempt = 1
-}
-
-// complete removes the winning instance from the buffers.
-func (e *engine) complete(bi, w int32) {
-	b := &e.buses[bi]
-	st := &b.streams[w]
-	st.hasPending = false
-	if b.spec.Controller == sim.BasicCAN {
-		b.heads.PopMin()
-		q := &b.nodeQueues[st.node]
-		q.Pop()
-		if q.Len() > 0 {
-			b.heads.Push(b.streams[q.Head()].rank)
-		}
-		return
-	}
-	b.ready.PopMin()
-}
-
-// arbitrate returns the stream winning bus bi, or -1 when idle.
-func (e *engine) arbitrate(bi int32) int32 {
-	b := &e.buses[bi]
-	if b.spec.Controller == sim.BasicCAN {
-		if b.heads.Len() == 0 {
-			return -1
-		}
-		return b.rankToStream[b.heads.Min()]
-	}
-	if b.ready.Len() == 0 {
-		return -1
-	}
-	return b.rankToStream[b.ready.Min()]
-}
-
-// tryStart arbitrates bus bi at now and starts one transmission (or
-// error recovery), scheduling its end on the global calendar.
+// tryStart starts one transmission (or error recovery) on idle bus bi
+// at now, scheduling its end on the global calendar.
 func (e *engine) tryStart(bi int32, now time.Duration) {
 	b := &e.buses[bi]
-	for {
-		w := e.arbitrate(bi)
-		if w < 0 {
-			return
-		}
-		st := &b.streams[w]
-		c := sim.DrawFrameTime(b.spec.Bus, b.spec.Stuffing, b.rng, st.spec.Frame)
-		start := now
-		end := start + c
-
-		if len(b.errs) > 0 && b.errs[0] < start {
-			// Stale injection instants (bus was idle) are skipped.
-			b.errs = b.errs[1:]
-			continue
-		}
-		if len(b.errs) > 0 && b.errs[0] < end {
-			errAt := b.errs[0]
-			b.errs = b.errs[1:]
-			busyUntil := errAt + b.spec.Bus.ErrorOverheadTime()
-			b.res.BusBusy += busyUntil - start
-			b.res.Errors++
-			e.record(bi, sim.Event{
-				Kind: sim.EventError, Time: start, Duration: busyUntil - start,
-				Message: st.spec.Name, Node: st.spec.Node, Attempt: st.attempt,
-			})
-			st.attempt++
-			b.res.Stats[w].Retransmissions++
-			b.busy = true
-			b.busyUntil = busyUntil
-			b.inFlight = -1
-			e.push(event{at: busyUntil, kind: evTxEnd, idx: bi})
-			return
-		}
-
-		stats := &b.res.Stats[w]
-		stats.Sent++
-		resp := end - st.queuedAt
-		if resp > stats.MaxResponse {
-			stats.MaxResponse = resp
-		}
-		if stats.MinResponse < 0 || resp < stats.MinResponse {
-			stats.MinResponse = resp
-		}
-		e.record(bi, sim.Event{
-			Kind: sim.EventTransmit, Time: start, Duration: c,
-			Message: st.spec.Name, Node: st.spec.Node, Attempt: st.attempt,
-		})
-		b.res.BusBusy += c
-		b.busy = true
-		b.busyUntil = end
-		b.inFlight = w
-		b.inFlightBirth = st.birth
-		e.complete(bi, w)
-		e.push(event{at: end, kind: evTxEnd, idx: bi})
+	w, until, sent := b.can.Start(now)
+	if w < 0 {
 		return
 	}
+	b.busy = true
+	b.inFlight = -1
+	if sent {
+		b.inFlight = w
+		b.inFlightBirth = b.originOf(w)
+	}
+	e.push(event{at: until, kind: evTxEnd, idx: bi})
+}
+
+// originOf returns the instant the path of stream w's latest instance
+// began: a local release is its own origin, a forwarded instance
+// carries the origin of its first hop.
+func (b *busEngine) originOf(w int32) time.Duration {
+	if b.fed[w] {
+		return b.origin[w]
+	}
+	return b.can.QueuedAt(w)
 }
 
 // armRelease schedules the bus's next local release wake-up.
 func (e *engine) armRelease(bi int32) {
 	b := &e.buses[bi]
-	if len(b.calendar) == 0 {
-		return
-	}
-	next := b.streams[b.calendar[0]].nextActual
-	if b.armedRelease == next {
+	next := b.can.NextRelease()
+	if next < 0 || b.armedRelease == next {
 		return
 	}
 	b.armedRelease = next
 	e.push(event{at: next, kind: evRelease, idx: bi})
-}
-
-// record appends a trace event on bus bi.
-func (e *engine) record(bi int32, ev sim.Event) {
-	if !e.cfg.RecordTrace {
-		return
-	}
-	b := &e.buses[bi]
-	if len(b.res.Trace) >= e.cfg.TraceLimit {
-		b.res.TraceTruncated = true
-		return
-	}
-	b.res.Trace = append(b.res.Trace, ev)
 }
 
 // ---------------------------------------------------------------------
@@ -726,35 +472,22 @@ func (e *engine) record(bi int32, ev sim.Event) {
 // releaseDueTDMA queues local time-triggered releases up to t.
 func (e *engine) releaseDueTDMA(di int32, t time.Duration) {
 	d := &e.tdmas[di]
-	due := d.dueBuf[:0]
-	for len(d.calendar) > 0 && d.streams[d.calendar[0]].nextActual <= t {
-		var i int32
-		d.calendar, i = calPop(d.calendar, d.relAt)
-		due = append(due, i)
-	}
-	insertionSort(due)
-	for _, i := range due {
-		st := &d.streams[i]
-		for st.nextActual >= 0 && st.nextActual <= t {
+	for _, i := range d.cal.Due(t) {
+		rel := &d.rel[i]
+		for at := rel.Next(); at >= 0 && at <= t; at = rel.Next() {
 			d.res.Stats[i].Released++
-			d.queues[i] = append(d.queues[i], tdmaEntry{queuedAt: st.nextActual, birth: st.nextActual})
-			st.advance(d.rng, e.cfg.Duration)
+			d.queues[i] = append(d.queues[i], tdmaEntry{queuedAt: at, birth: at})
+			rel.Advance(d.rng, e.cfg.Duration)
 		}
-		if st.nextActual >= 0 {
-			d.calendar = calPush(d.calendar, d.relAt, i)
-		}
+		d.cal.Push(i, rel.Next())
 	}
-	d.dueBuf = due[:0]
 }
 
 // armTDMARelease schedules the segment's next release wake-up.
 func (e *engine) armTDMARelease(di int32) {
 	d := &e.tdmas[di]
-	if len(d.calendar) == 0 {
-		return
-	}
-	next := d.streams[d.calendar[0]].nextActual
-	if d.armedRelease == next {
+	next := d.cal.Next()
+	if next < 0 || d.armedRelease == next {
 		return
 	}
 	d.armedRelease = next
@@ -786,7 +519,7 @@ func (e *engine) serveSlot(di, si int32, t time.Duration) {
 			} else {
 				d.res.Trace = append(d.res.Trace, sim.Event{
 					Kind: sim.EventTransmit, Time: t, Duration: c,
-					Message: d.streams[owner].spec.Name, Node: d.spec.Name, Attempt: 1,
+					Message: d.spec.Messages[owner].Name, Node: d.spec.Name, Attempt: 1,
 				})
 			}
 		}
@@ -904,7 +637,9 @@ func (e *engine) service(gi int32, t time.Duration) {
 func (e *engine) forward(ri int32, t, birth time.Duration) {
 	r := &e.routes[ri]
 	if r.to.kind == elemCAN {
-		e.release(r.to.bus, r.to.idx, t, birth)
+		b := &e.buses[r.to.bus]
+		b.can.Release(r.to.idx, t)
+		b.origin[r.to.idx] = birth
 		e.markDirty(r.to.bus)
 		return
 	}
@@ -934,8 +669,9 @@ func (e *engine) scheduleService(gi int32, now time.Duration) {
 	e.push(event{at: at, kind: evGwService, idx: gi})
 }
 
-// pathDrop charges a lost instance to every path traversing the
-// element it was lost at.
+// pathDrop charges an instance lost inside a gateway to every path
+// traversing the element it was routed to. Sender-buffer overwrites on
+// CAN hops are charged from the bus statistics when the run ends.
 func (e *engine) pathDrop(el elem) {
 	for _, pi := range e.memberOf[el] {
 		e.pathRes[pi].Dropped++
@@ -946,13 +682,12 @@ func (e *engine) pathDrop(el elem) {
 func (e *engine) result() *Result {
 	res := &Result{Duration: e.cfg.Duration}
 	for bi := range e.buses {
-		r := e.buses[bi].res
-		for i := range r.Stats {
-			if r.Stats[i].MinResponse < 0 {
-				r.Stats[i].MinResponse = 0
-			}
-		}
-		res.Buses = append(res.Buses, r)
+		b := &e.buses[bi]
+		r := b.can.Result()
+		res.Buses = append(res.Buses, BusResult{
+			Name: e.topo.Buses[bi].Name, Stats: r.Stats, BusBusy: r.BusBusy, Errors: r.Errors,
+			Trace: r.Trace, TraceTruncated: r.TraceTruncated,
+		})
 	}
 	for di := range e.tdmas {
 		r := e.tdmas[di].res
@@ -968,6 +703,11 @@ func (e *engine) result() *Result {
 	}
 	for pi := range e.pathRes {
 		pr := e.pathRes[pi]
+		for _, el := range e.paths[pi].hops {
+			if el.kind == elemCAN {
+				pr.Dropped += res.Buses[el.bus].Stats[el.idx].Lost
+			}
+		}
 		if pr.MinLatency < 0 {
 			pr.MinLatency = 0
 		}
@@ -977,7 +717,7 @@ func (e *engine) result() *Result {
 }
 
 // ---------------------------------------------------------------------
-// Heaps: the global event heap and the per-component release calendars.
+// The global event heap.
 // ---------------------------------------------------------------------
 
 func (e *engine) push(ev event) {
@@ -1017,74 +757,4 @@ func (e *engine) pop() event {
 		parent = child
 	}
 	return root
-}
-
-// calPush / calPop: the shared indexed release calendar — a binary
-// min-heap of stream indices keyed by a release-time accessor, ties by
-// stream index — used by both the CAN and the TDMA engines.
-
-func calLess(at func(int32) time.Duration, a, c int32) bool {
-	ta, tc := at(a), at(c)
-	if ta != tc {
-		return ta < tc
-	}
-	return a < c
-}
-
-func calPush(h []int32, at func(int32) time.Duration, i int32) []int32 {
-	h = append(h, i)
-	child := len(h) - 1
-	for child > 0 {
-		parent := (child - 1) / 2
-		if !calLess(at, h[child], h[parent]) {
-			break
-		}
-		h[child], h[parent] = h[parent], h[child]
-		child = parent
-	}
-	return h
-}
-
-func calPop(h []int32, at func(int32) time.Duration) ([]int32, int32) {
-	root := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	parent := 0
-	for {
-		child := 2*parent + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && calLess(at, h[r], h[child]) {
-			child = r
-		}
-		if !calLess(at, h[child], h[parent]) {
-			break
-		}
-		h[parent], h[child] = h[child], h[parent]
-		parent = child
-	}
-	return h, root
-}
-
-// insertionSort orders the due buffer ascending; it is almost always
-// tiny and allocates nothing.
-func insertionSort(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
-// sortedErrors returns the injection schedule sorted ascending.
-func sortedErrors(errors []time.Duration) []time.Duration {
-	out := append([]time.Duration(nil), errors...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

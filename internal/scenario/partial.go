@@ -13,29 +13,20 @@ import (
 // alias a finalized fingerprint.
 const tagCorpus = 0x434f525055533162 // "CORPUS1b"
 
-// GenerateRange draws only scenarios [start, start+count) of the
-// corpus described by spec. The returned slice is element-for-element
-// identical to Generate(spec).Scenarios[start:start+count] — per-
-// scenario seeds derive from (corpus seed, index), never from
-// neighbouring draws — but costs O(count) time and memory regardless
-// of spec.Count. It is the shard-worker entry point of the streamed
-// distributed protocol: the coordinator ships (spec, range) and each
-// worker generates exactly its own slice.
-func GenerateRange(spec Spec, start, count int) ([]Scenario, error) {
+// CheckRange reports whether scenarios [start, start+count) lie inside
+// the corpus spec describes. It compares without computing
+// start+count, which a hostile range can overflow, so a shard worker
+// can refuse a range before it draws or allocates anything.
+func CheckRange(spec Spec, start, count int) error {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	// Compared without start+count, which a hostile range can overflow.
 	if start < 0 || count < 0 || start > spec.Count || count > spec.Count-start {
-		return nil, fmt.Errorf("scenario: range of %d from %d outside corpus of %d",
+		return fmt.Errorf("scenario: range of %d from %d outside corpus of %d",
 			count, start, spec.Count)
 	}
-	scs := make([]Scenario, count)
-	for i := range scs {
-		scs[i] = generateOne(spec, start+i)
-	}
-	return scs, nil
+	return nil
 }
 
 // Leaf digests one scenario's canonical block (exactly the bytes
@@ -104,7 +95,7 @@ func ParsePartial(s string) (Partial, error) {
 	return p, nil
 }
 
-// PartialOf folds the leaves of a generated slice.
+// PartialOf folds the leaves of a slice of scenarios.
 func PartialOf(scs []Scenario) Partial {
 	var p Partial
 	for i := range scs {

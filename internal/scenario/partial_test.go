@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestGenerateRangeConcatenatesToFullCorpus is the property behind the
-// streamed distributed protocol: for random specs and random shard
-// boundaries, worker-style slice generation concatenates to exactly
-// the corpus a coordinator would have generated — byte-identical under
-// the canonical encoding — and the per-slice partial fingerprints fold
-// to the corpus fingerprint.
-func TestGenerateRangeConcatenatesToFullCorpus(t *testing.T) {
+// TestGenerateOneSlicesConcatenateToFullCorpus is the property behind
+// the streamed distributed protocol: for random specs and random shard
+// boundaries, worker-style generation (each index on its own)
+// concatenates to exactly the corpus a coordinator would have
+// generated — byte-identical under the canonical encoding — and the
+// per-slice partial fingerprints fold to the corpus fingerprint.
+func TestGenerateOneSlicesConcatenateToFullCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		spec := Spec{Seed: rng.Int63n(1 << 30), Count: 1 + rng.Intn(40)}
@@ -26,12 +26,19 @@ func TestGenerateRangeConcatenatesToFullCorpus(t *testing.T) {
 		var fold Partial
 		for start := 0; start < spec.Count; {
 			count := 1 + rng.Intn(spec.Count-start)
-			slice, err := GenerateRange(spec, start, count)
-			if err != nil {
+			if err := CheckRange(spec, start, count); err != nil {
 				t.Fatalf("trial %d: range [%d,%d): %v", trial, start, start+count, err)
 			}
-			concat = append(concat, slice...)
-			fold.Merge(PartialOf(slice))
+			var slice Partial
+			for i := start; i < start+count; i++ {
+				sc, err := GenerateOne(spec, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				concat = append(concat, *sc)
+				slice.Add(Leaf(sc))
+			}
+			fold.Merge(slice)
 			start += count
 		}
 
@@ -59,20 +66,19 @@ func TestGenerateRangeConcatenatesToFullCorpus(t *testing.T) {
 	}
 }
 
-// TestGenerateRangeRejectsOverflowingRange pins the range check to
+// TestCheckRangeRejectsOverflowingRange pins the range check to
 // arithmetic that cannot wrap: start+count overflows for these ranges,
 // and a wrapped sum once passed the bound (returning scenario index
 // math.MaxInt from a 10-scenario corpus).
-func TestGenerateRangeRejectsOverflowingRange(t *testing.T) {
+func TestCheckRangeRejectsOverflowingRange(t *testing.T) {
 	spec := Spec{Seed: 1, Count: 10}
-	for _, r := range [][2]int{{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt}, {11, 0}, {3, 8}} {
-		if scs, err := GenerateRange(spec, r[0], r[1]); err == nil {
-			t.Errorf("range of %d from %d accepted (%d scenarios)", r[1], r[0], len(scs))
+	for _, r := range [][2]int{{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt}, {11, 0}, {3, 8}, {-1, 2}, {0, -1}} {
+		if err := CheckRange(spec, r[0], r[1]); err == nil {
+			t.Errorf("range of %d from %d accepted", r[1], r[0])
 		}
 	}
-	scs, err := GenerateRange(spec, 10, 0)
-	if err != nil || len(scs) != 0 {
-		t.Fatalf("empty range at the end: %d scenarios, %v", len(scs), err)
+	if err := CheckRange(spec, 10, 0); err != nil {
+		t.Fatalf("empty range at the end: %v", err)
 	}
 }
 
@@ -98,11 +104,7 @@ func TestPartialFoldIsOrderAndShardingFree(t *testing.T) {
 	// Uneven shards merged out of order.
 	var merged Partial
 	for _, r := range [][2]int{{4, 5}, {0, 4}} {
-		slice, err := GenerateRange(spec, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged.Merge(PartialOf(slice))
+		merged.Merge(PartialOf(corpus.Scenarios[r[0] : r[0]+r[1]]))
 	}
 	if merged != want {
 		t.Fatalf("sharded fold %v != forward fold %v", merged, want)
@@ -119,14 +121,8 @@ func TestTamperedSliceRejectedByFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := GenerateRange(spec, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateRange(spec, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := corpus.Scenarios[:4]
+	b := append([]Scenario(nil), corpus.Scenarios[4:]...)
 	// Tamper with one scenario of the second slice.
 	b[1].Seed++
 
@@ -143,10 +139,7 @@ func TestTamperedSliceRejectedByFold(t *testing.T) {
 
 	// Swapping two scenarios (indices travel in the leaves) must also
 	// change the fold.
-	c, err := GenerateRange(spec, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := append([]Scenario(nil), corpus.Scenarios...)
 	c[2], c[5] = c[5], c[2]
 	c[2].Index, c[5].Index = 2, 5
 	if sd, _ := FingerprintFrom(spec, PartialOf(c)); sd == corpus.Fingerprint() {
@@ -162,11 +155,11 @@ func TestTamperedSliceRejectedByFold(t *testing.T) {
 // TestPartialWireRoundTrip pins the String/ParsePartial encoding.
 func TestPartialWireRoundTrip(t *testing.T) {
 	spec := Spec{Seed: 9, Count: 6}
-	scs, err := GenerateRange(spec, 0, 6)
+	corpus, err := Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := PartialOf(scs)
+	p := PartialOf(corpus.Scenarios)
 	got, err := ParsePartial(p.String())
 	if err != nil {
 		t.Fatal(err)

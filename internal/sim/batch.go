@@ -6,45 +6,23 @@ import (
 	"repro/internal/parallel"
 )
 
-// Job is one simulation of a batch: a message set under a configuration.
-// Jobs in a batch are independent; sensitivity sweeps and Monte-Carlo
-// seed fans are batches by construction.
-type Job struct {
-	// Specs is the message set.
-	Specs []MessageSpec
-	// Config parameterises the run; Seed gives each job its own RNG, so
-	// workers never share random state.
-	Config Config
-}
-
-// RunBatch simulates every job on a worker pool and returns the results
-// in job order. workers <= 0 selects GOMAXPROCS. Every job carries its
-// own RNG (seeded from its Config), so results are independent of the
-// worker count and schedule; the first failing job (by index) aborts the
-// batch with its error.
-func RunBatch(jobs []Job, workers int) ([]*Result, error) {
-	results := make([]*Result, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel.For(len(jobs), workers, func(_, i int) {
-		results[i], errs[i] = Run(jobs[i].Specs, jobs[i].Config)
+// RunSeeds fans the same scenario over many seeds — the Monte-Carlo
+// pattern of jitter studies — and returns one result per seed, in seed
+// order. workers <= 0 selects GOMAXPROCS. Every run owns its RNG and
+// results are written by index, so they are independent of the worker
+// count and schedule; the first failing run (by index) fails the fan.
+func RunSeeds(specs []MessageSpec, cfg Config, seeds []int64, workers int) ([]*Result, error) {
+	results := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	parallel.For(len(seeds), workers, func(_, i int) {
+		c := cfg
+		c.Seed = seeds[i]
+		results[i], errs[i] = Run(specs, c)
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch job %d: %w", i, err)
+			return nil, fmt.Errorf("sim: seed %d: %w", seeds[i], err)
 		}
 	}
 	return results, nil
-}
-
-// RunSeeds fans the same scenario over many seeds — the Monte-Carlo
-// pattern of jitter studies — and returns one result per seed, in seed
-// order. workers <= 0 selects GOMAXPROCS.
-func RunSeeds(specs []MessageSpec, cfg Config, seeds []int64, workers int) ([]*Result, error) {
-	jobs := make([]Job, len(seeds))
-	for i, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		jobs[i] = Job{Specs: specs, Config: c}
-	}
-	return RunBatch(jobs, workers)
 }

@@ -2,12 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// Batch results must not depend on the worker count or schedule.
-func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
+// Seed-fan results must not depend on the worker count or schedule.
+func TestRunSeedsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := randomSpecs(rng, 8)
 	seeds := make([]int64, 24)
@@ -25,15 +26,8 @@ func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range serial {
-			for j := range serial[i].Stats {
-				if serial[i].Stats[j] != parallel[i].Stats[j] {
-					t.Fatalf("workers=%d: seed %d stats[%d] differ", workers, seeds[i], j)
-				}
-			}
-			if serial[i].BusBusy != parallel[i].BusBusy {
-				t.Fatalf("workers=%d: seed %d bus occupation differs", workers, seeds[i])
-			}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("results differ between 1 and %d workers", workers)
 		}
 	}
 }
@@ -59,18 +53,13 @@ func TestRunSeedsVaryWithSeed(t *testing.T) {
 	}
 }
 
-// A failing job aborts the batch with the lowest failing index.
-func TestRunBatchPropagatesErrors(t *testing.T) {
-	good := Job{
-		Specs:  []MessageSpec{spec("A", 0x100, 8, ms, 0, "E1")},
-		Config: Config{Bus: bus500k, Duration: 10 * ms},
+// An invalid run fails the fan; an empty fan succeeds.
+func TestRunSeedsPropagatesErrors(t *testing.T) {
+	cfg := Config{Bus: bus500k, Duration: 10 * ms}
+	if _, err := RunSeeds(nil, cfg, []int64{1, 2, 3}, 0); err == nil {
+		t.Fatal("expected error from invalid runs")
 	}
-	bad := good
-	bad.Specs = nil // fails validation
-	if _, err := RunBatch([]Job{good, bad, good}, 0); err == nil {
-		t.Fatal("expected error from invalid job")
-	}
-	if _, err := RunBatch(nil, 0); err != nil {
-		t.Fatalf("empty batch should succeed, got %v", err)
+	if res, err := RunSeeds([]MessageSpec{spec("A", 0x100, 8, ms, 0, "E1")}, cfg, nil, 0); err != nil || len(res) != 0 {
+		t.Fatalf("empty fan: %d results, %v", len(res), err)
 	}
 }

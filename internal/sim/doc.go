@@ -15,4 +15,9 @@
 // with "the controller type influences the order in which messages are
 // sent"), sender-buffer overwrite (the paper's message-loss semantics),
 // and scheduled error injection with retransmission.
+//
+// Bus is that model's state machine, and the only one in the repo: Run
+// steps it from one transmission boundary to the next, and package
+// netsim steps one per CAN bus of a topology from its global event
+// heap. RunSeeds fans Run over Monte-Carlo seeds.
 package sim

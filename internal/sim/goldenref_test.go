@@ -6,8 +6,8 @@ import (
 )
 
 // This file preserves the original scanning engine verbatim (modulo
-// renames) as the golden reference for the heap-based event calendar in
-// engine.go. The equivalence tests in equivalence_test.go require the
+// renames) as the golden reference for the bus state machine in bus.go.
+// TestEngineMatchesSeedEngine and FuzzSimMatchesSeedEngine require the
 // production engine to reproduce this engine's statistics bit for bit:
 // the RNG draw order, the FIFO numbering and the arbitration outcomes
 // are part of the engine contract, not an implementation detail.
@@ -107,7 +107,7 @@ func refRun(specs []MessageSpec, cfg Config) (*Result, error) {
 			now = next
 			continue
 		}
-		c := DrawFrameTime(cfg.Bus, cfg.Stuffing, rng, winner.spec.Frame)
+		c := drawFrameTime(cfg.Bus, cfg.Stuffing, rng, winner.spec.Frame)
 		start := now
 		end := start + c
 

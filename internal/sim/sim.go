@@ -191,6 +191,30 @@ func (r *Result) StatsByName(name string) *Stats {
 	return nil
 }
 
+// Run simulates the message set on one bus, stepping its state machine
+// from one transmission boundary to the next. Releases are drawn lazily
+// at those boundaries, so none is drawn after the last boundary before
+// the horizon.
+func Run(specs []MessageSpec, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := validate(specs, cfg); err != nil {
+		return nil, err
+	}
+	b := NewBus(specs, cfg, nil)
+	for now := time.Duration(0); now < cfg.Duration; {
+		b.ReleaseDue(now)
+		if w, until, _ := b.Start(now); w >= 0 {
+			now = until
+			continue
+		}
+		if now = b.NextRelease(); now < 0 {
+			break
+		}
+	}
+	res := b.Result()
+	return &res, nil
+}
+
 // validate checks the inputs of a run.
 func validate(specs []MessageSpec, cfg Config) error {
 	if err := cfg.Bus.Validate(); err != nil {

@@ -86,7 +86,6 @@ def need(name, why):
 need("campaign.run", "coordinator root")
 need("shard.dispatch", "coordinator dispatch")
 need("worker.shard", "worker-side execution came back over the wire")
-need("corpus.range", "worker-side streamed slice generation")
 need("scenario", "per-scenario pipeline spans")
 need("cache.l1", "cache-tier lookups")
 
