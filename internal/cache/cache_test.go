@@ -331,8 +331,9 @@ func TestDiskGCvsGet(t *testing.T) {
 	}
 }
 
-// TestTiered pins the promotion protocol: L1 hit, L2 hit + promotion,
-// miss, write-through Put and primary-only Put.
+// TestTiered pins the promotion protocol: write-through Put, L1 hit,
+// L2 hit + promotion, a miss of both levels, and Stats summed from the
+// levels' own counters.
 func TestTiered(t *testing.T) {
 	l1 := NewLRU(0)
 	l2 := newTestDisk(t, 0)
@@ -344,57 +345,29 @@ func TestTiered(t *testing.T) {
 	if _, ok := l2.Get(key); !ok {
 		t.Fatal("Put did not write through to L2")
 	}
-	if got, primary, ok := tc.GetLeveled(key); !ok || !primary || !reflect.DeepEqual(got, v) {
-		t.Fatalf("L1 hit: got %v primary=%v ok=%v", got, primary, ok)
+	if got, ok := tc.Get(key); !ok || !reflect.DeepEqual(got, v) {
+		t.Fatalf("L1 hit: got %v ok=%v", got, ok)
 	}
 
 	// Cold L1: the L2 record is promoted.
-	cold := NewTiered(NewLRU(0), l2)
-	got, primary, ok := cold.GetLeveled(key)
-	if !ok || primary {
-		t.Fatalf("L2 hit: primary=%v ok=%v", primary, ok)
+	coldL1 := NewLRU(0)
+	cold := NewTiered(coldL1, l2)
+	got, ok := cold.Get(key)
+	if !ok || !reflect.DeepEqual(got, v) {
+		t.Fatalf("L2 hit: got %v ok=%v", got, ok)
 	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatal("L2 hit decoded a different value")
-	}
-	if _, ok := cold.GetPrimary(key); !ok {
+	if _, ok := coldL1.Get(key); !ok {
 		t.Fatal("L2 hit was not promoted into L1")
-	}
-	st := cold.Stats()
-	// GetPrimary is the pinned probe: it moves only the L1's own
-	// counters, not the tiered ones.
-	if st.L2Hits != 1 || st.Promotions != 1 || st.L1Hits != 0 || st.L1.Hits != 1 {
-		t.Fatalf("tiered stats = %+v", st)
-	}
-
-	// Primary-only Put stays out of L2.
-	pkey := digestOf(2)
-	tc.PutPrimary(pkey, v)
-	if _, ok := l2.Get(pkey); ok {
-		t.Fatal("PutPrimary leaked into L2")
-	}
-	if _, _, ok := tc.GetLeveled(pkey); !ok {
-		t.Fatal("PutPrimary value not in L1")
 	}
 
 	// A miss misses both levels.
-	if _, _, ok := tc.GetLeveled(digestOf(3)); ok {
+	if _, ok := cold.Get(digestOf(3)); ok {
 		t.Fatal("hit on a never-put key")
 	}
-	if s := tc.Stats(); s.Misses == 0 || s.L1 == nil || s.L2 == nil {
-		t.Fatalf("combined stats incomplete: %+v", s)
-	}
-}
-
-// TestLeveledHelpers: a flat store is its own primary level.
-func TestLeveledHelpers(t *testing.T) {
-	l := NewLRU(0)
-	key := digestOf(9)
-	PutPrimary(l, key, 42)
-	if v, primary, ok := GetLeveled(l, key); !ok || !primary || v != 42 {
-		t.Fatalf("GetLeveled on LRU = %v %v %v", v, primary, ok)
-	}
-	if v, ok := GetPrimary(l, key); !ok || v != 42 {
-		t.Fatalf("GetPrimary on LRU = %v %v", v, ok)
+	// coldL1: two misses, the promotion probe's hit; l2: the direct
+	// probe's and the promoted lookup's hits, one miss.
+	st := cold.Stats()
+	if st.Hits != 3 || st.Misses != 1 || st.Entries != 1 || st.Bytes != l2.Stats().Bytes {
+		t.Fatalf("tiered stats = %+v", st)
 	}
 }

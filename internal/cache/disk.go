@@ -61,8 +61,7 @@ var errAbsent = errors.New("cache: no record")
 // corrupt entry, version skew, a read racing GC or Close — degrades to
 // a miss, never a wrong hit or a crash.
 //
-// Disk is safe for concurrent use and implements Store and Leveled
-// (the disk is its own primary level when used standalone).
+// Disk is safe for concurrent use and implements Store.
 type Disk struct {
 	dir      string
 	maxBytes int64
@@ -508,19 +507,6 @@ func (d *Disk) Close() {
 		}
 	}
 }
-
-// GetLeveled implements Leveled; a standalone Disk is its own primary
-// level.
-func (d *Disk) GetLeveled(key contenthash.Digest) (any, bool, bool) {
-	v, ok := d.Get(key)
-	return v, true, ok
-}
-
-// GetPrimary implements Leveled.
-func (d *Disk) GetPrimary(key contenthash.Digest) (any, bool) { return d.Get(key) }
-
-// PutPrimary implements Leveled.
-func (d *Disk) PutPrimary(key contenthash.Digest, value any) { d.Put(key, value) }
 
 // Stats returns a snapshot of the store counters. Bytes counts segment
 // bytes: entry prefixes and entries no longer indexed included.

@@ -26,7 +26,7 @@ const DefaultCapacity = 1 << 15
 // per-message results, so long scenario batches reach a bounded steady
 // state instead of accumulating one report per variant.
 //
-// LRU is safe for concurrent use and implements Store, Leveled and
+// LRU is safe for concurrent use and implements Store and
 // rta.ResultCache.
 type LRU struct {
 	mu        sync.Mutex
@@ -115,18 +115,6 @@ func (s *LRU) Put(key contenthash.Digest, value any) {
 		s.evictions++
 	}
 }
-
-// GetLeveled implements Leveled; an LRU is its own primary level.
-func (s *LRU) GetLeveled(key contenthash.Digest) (any, bool, bool) {
-	v, ok := s.Get(key)
-	return v, true, ok
-}
-
-// GetPrimary implements Leveled.
-func (s *LRU) GetPrimary(key contenthash.Digest) (any, bool) { return s.Get(key) }
-
-// PutPrimary implements Leveled.
-func (s *LRU) PutPrimary(key contenthash.Digest, value any) { s.Put(key, value) }
 
 // Len returns the number of resident entries.
 func (s *LRU) Len() int {

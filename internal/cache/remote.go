@@ -114,9 +114,8 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 // enqueued to a bounded queue drained by background workers, so the
 // analysis hot path never blocks on the network. Whatever the remote
 // end returns is crc-verified before it is trusted; anything invalid
-// is quarantined as a miss. The Leveled pinned-stats contract therefore
-// holds: a degraded, faulty or unreachable remote only ever costs
-// recomputation, never a wrong byte.
+// is quarantined as a miss. A degraded, faulty or unreachable remote
+// therefore only ever costs recomputation, never a wrong byte.
 //
 // Remote is safe for concurrent use. Close flushes the write-behind
 // queue and must be called to stop the background workers.
@@ -363,19 +362,6 @@ func (r *Remote) roundTrip(method string, key contenthash.Digest, body []byte) (
 	}
 	return raw, resp.StatusCode, nil
 }
-
-// GetLeveled implements Leveled; a standalone Remote is its own
-// primary level (under Tiered it is always the non-primary side).
-func (r *Remote) GetLeveled(key contenthash.Digest) (any, bool, bool) {
-	v, ok := r.Get(key)
-	return v, true, ok
-}
-
-// GetPrimary implements Leveled.
-func (r *Remote) GetPrimary(key contenthash.Digest) (any, bool) { return r.Get(key) }
-
-// PutPrimary implements Leveled.
-func (r *Remote) PutPrimary(key contenthash.Digest, value any) { r.Put(key, value) }
 
 // Stats implements Store with the counters every tier shares; the
 // remote-specific counters (breaker, write-behind, latency) are on

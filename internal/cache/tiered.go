@@ -1,26 +1,17 @@
 package cache
 
-import (
-	"sync/atomic"
-
-	"repro/internal/contenthash"
-)
+import "repro/internal/contenthash"
 
 // Tiered composes a fast in-process level (L1, typically an LRU) over
 // a shared second level (L2, typically a Disk store): Get resolves L1
 // first, promotes L2 hits into L1, and misses both; Put writes
 // through to both levels. The L2 is strictly a compute-avoidance
-// layer — sessions that pin their statistics resolve through the
-// Leveled methods so an L2 hit is distinguishable from a primary one.
+// layer — a what-if session reads a Tiered store as its two levels
+// and keeps its own counters, so an L2 hit never shows in them.
 //
 // Tiered is safe for concurrent use when its levels are.
 type Tiered struct {
 	l1, l2 Store
-
-	l1Hits     atomic.Uint64
-	l2Hits     atomic.Uint64
-	misses     atomic.Uint64
-	promotions atomic.Uint64
 }
 
 // NewTiered stacks l1 over l2.
@@ -36,30 +27,14 @@ func (t *Tiered) L2() Store { return t.l2 }
 
 // Get resolves L1 → L2 → miss, promoting L2 hits into L1.
 func (t *Tiered) Get(key contenthash.Digest) (any, bool) {
-	v, _, ok := t.GetLeveled(key)
-	return v, ok
-}
-
-// GetLeveled implements Leveled: primary reports an L1 hit; an L2 hit
-// is promoted into L1 before it returns.
-func (t *Tiered) GetLeveled(key contenthash.Digest) (any, bool, bool) {
 	if v, ok := t.l1.Get(key); ok {
-		t.l1Hits.Add(1)
-		return v, true, true
+		return v, true
 	}
-	if v, ok := t.l2.Get(key); ok {
-		t.l2Hits.Add(1)
-		t.promotions.Add(1)
+	v, ok := t.l2.Get(key)
+	if ok {
 		t.l1.Put(key, v)
-		return v, false, true
 	}
-	t.misses.Add(1)
-	return nil, false, false
-}
-
-// GetPrimary implements Leveled: L1 only, no promotion.
-func (t *Tiered) GetPrimary(key contenthash.Digest) (any, bool) {
-	return t.l1.Get(key)
+	return v, ok
 }
 
 // Put writes through to both levels.
@@ -68,35 +43,16 @@ func (t *Tiered) Put(key contenthash.Digest, value any) {
 	t.l2.Put(key, value)
 }
 
-// PutPrimary implements Leveled: L1 only. Sessions use it for values
-// that are never resolved against L2 (whole-bus report snapshots), so
-// the shared level is not polluted with records nothing will read.
-func (t *Tiered) PutPrimary(key contenthash.Digest, value any) {
-	t.l1.Put(key, value)
-}
-
-// Stats combines the per-level counters: Hits/Misses describe the
-// tiered view, L1/L2 snapshot the composed stores.
+// Stats reads the levels' own counters: hits at either level, the
+// L2's misses, both levels' evictions, the L1's residency and the L2's
+// disk figures. A level shared with other users brings their traffic
+// along.
 func (t *Tiered) Stats() Stats {
-	l1 := t.l1.Stats()
-	l2 := t.l2.Stats()
-	s := Stats{
-		L1Hits:     t.l1Hits.Load(),
-		L2Hits:     t.l2Hits.Load(),
-		Promotions: t.promotions.Load(),
-		Misses:     t.misses.Load(),
-		Evictions:  l1.Evictions + l2.Evictions,
-		Entries:    l1.Entries,
-		Cost:       l1.Cost,
-		Capacity:   l1.Capacity,
-		Bytes:      l2.Bytes,
-		MaxBytes:   l2.MaxBytes,
-		Corrupt:    l2.Corrupt,
-		Skipped:    l2.Skipped,
-		L1:         &l1,
-		L2:         &l2,
-	}
-	s.Hits = s.L1Hits + s.L2Hits
+	s, l2 := t.l1.Stats(), t.l2.Stats()
+	s.Hits += l2.Hits
+	s.Misses = l2.Misses
+	s.Evictions += l2.Evictions
+	s.Bytes, s.MaxBytes, s.Corrupt, s.Skipped = l2.Bytes, l2.MaxBytes, l2.Corrupt, l2.Skipped
 	return s
 }
 

@@ -178,16 +178,13 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	if cfg.Cache != nil {
 		store = cache.NewTiered(store, cfg.Cache)
 	}
-	// The tracing wrapper forwards through the same leveled helpers a
-	// session uses on the bare store, so session counters — and the row
-	// fields derived from them — are unchanged.
-	var tstore *obs.TracedStore
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tstore = obs.NewTracedStore(store)
-		store = tstore
-		defer func() { tstore.Finish(tr, root.ID()) }()
-	}
 	sess := whatif.NewSystemSession(sys, whatif.Options{Store: store, Workers: 1})
+	tr := obs.TraceFrom(ctx)
+	remote := cache.RemoteOf(cfg.Cache)
+	var remoteStart cache.RemoteStats
+	if tr != nil && remote != nil {
+		remoteStart = remote.RemoteStats()
+	}
 
 	_, asp := obs.StartSpan(ctx, "analyze")
 	base, err := sess.Analyze(cfg.MaxIterations)
@@ -257,6 +254,10 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	}
 	root.SetInt("cache_hits", int64(row.CacheHits))
 	root.SetInt("cache_misses", int64(row.CacheMisses))
+	obs.RecordCache(tr, root.ID(), row.CacheHits, row.CacheMisses, st.SharedHits, cfg.Cache != nil)
+	if tr != nil && remote != nil {
+		obs.RecordRemote(tr, root.ID(), remoteStart, remote.RemoteStats())
+	}
 	return row, nil
 }
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -134,5 +138,95 @@ func TestCampaignAnalysisOnly(t *testing.T) {
 func TestCampaignEmptyCorpus(t *testing.T) {
 	if _, err := Run(scenario.Spec{Count: -1}, Config{}); err == nil {
 		t.Fatal("negative corpus count accepted")
+	}
+}
+
+// TestTracedScenarioCacheSpans pins one cache accountant on the batch
+// path: in a traced Job.Run every scenario's cache.l1 span reads its
+// row's CacheHits and CacheMisses, and a cache.l2 span — splitting
+// those misses into the ones the shared level answered and the rest —
+// appears exactly when Config.Cache is set.
+func TestTracedScenarioCacheSpans(t *testing.T) {
+	spec := testSpec(12)
+	disk, err := cache.NewDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(disk.Close)
+	for _, tc := range []struct {
+		name  string
+		cache cache.Store
+	}{{"spec", nil}, {"disk-cold", disk}, {"disk-warm", disk}} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := NewSpecJob(spec, Config{Workers: 2, Seeds: 1, Duration: 20 * time.Millisecond, Cache: tc.cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace(obs.ID{}, 0)
+			rep, err := j.Run(obs.ContextWithTrace(context.Background(), tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			attrs := func(s obs.Span) map[string]string {
+				m := map[string]string{}
+				for _, a := range s.Attrs {
+					m[a.Key] = a.Value
+				}
+				return m
+			}
+			rowOf := map[uint64]ScenarioResult{} // scenario span ID -> row
+			for _, s := range tr.Spans() {
+				if s.Name == "scenario" {
+					i, err := strconv.Atoi(attrs(s)["index"])
+					if err != nil {
+						t.Fatalf("scenario span without index: %v", s.Attrs)
+					}
+					rowOf[s.ID] = rep.Rows[i]
+				}
+			}
+			if len(rowOf) != spec.Count {
+				t.Fatalf("%d scenario spans, want %d", len(rowOf), spec.Count)
+			}
+			l1, l2 := map[uint64]int{}, map[uint64]int{}
+			var sharedHits uint64
+			for _, s := range tr.Spans() {
+				row, ok := rowOf[s.Parent]
+				a := attrs(s)
+				switch {
+				case s.Name != "cache.l1" && s.Name != "cache.l2":
+					continue
+				case !ok:
+					t.Fatalf("%s span outside a scenario", s.Name)
+				case s.Name == "cache.l1":
+					l1[s.Parent]++
+					if a["hits"] != fmt.Sprint(row.CacheHits) || a["misses"] != fmt.Sprint(row.CacheMisses) {
+						t.Errorf("scenario %d: cache.l1 %v, row hits %d misses %d",
+							row.Index, a, row.CacheHits, row.CacheMisses)
+					}
+				default:
+					l2[s.Parent]++
+					hits, _ := strconv.ParseUint(a["hits"], 10, 64)
+					misses, _ := strconv.ParseUint(a["misses"], 10, 64)
+					if hits+misses != row.CacheMisses {
+						t.Errorf("scenario %d: cache.l2 %v does not split the row's %d misses",
+							row.Index, a, row.CacheMisses)
+					}
+					sharedHits += hits
+				}
+			}
+			for id, row := range rowOf {
+				wantL2 := 0
+				if tc.cache != nil {
+					wantL2 = 1
+				}
+				if l1[id] != 1 || l2[id] != wantL2 {
+					t.Errorf("scenario %d: %d cache.l1 and %d cache.l2 spans, want 1 and %d",
+						row.Index, l1[id], l2[id], wantL2)
+				}
+			}
+			if tc.name == "disk-warm" && sharedHits == 0 {
+				t.Error("warm run over the disk level recorded no cache.l2 hits")
+			}
+		})
 	}
 }

@@ -2,8 +2,8 @@
 // structured tracing with 128-bit trace IDs propagated across process
 // boundaries via HTTP headers, a Chrome trace_event exporter, a
 // Prometheus-text-format writer, a flight recorder keeping the N
-// slowest operations with their span trees, and a tracing wrapper for
-// cache.Store tiers.
+// slowest operations with their span trees, and recorders that turn a
+// what-if session's cache counters into spans.
 //
 // The paper's core problem is diagnosing integration failures across
 // many suppliers' opaque components; the reproduction's stack spans the

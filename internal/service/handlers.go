@@ -38,8 +38,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	sess := whatif.NewSystemSession(sys, whatif.Options{Store: s.storeFor(r), Workers: s.cfg.Workers})
-	a, err := sess.Analyze(s.cfg.MaxIterations)
+	sess := whatif.NewSystemSession(sys, whatif.Options{Store: s.store, Workers: s.cfg.Workers})
+	a, err := s.analyze(r, sess)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, CodeAnalysisFailed, "analysis: %v", err)
 		return
@@ -85,8 +85,8 @@ func (s *Server) simulate(w http.ResponseWriter, r *http.Request, body []byte, i
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	sess := whatif.NewSystemSession(sys, whatif.Options{Store: s.storeFor(r), Workers: s.cfg.Workers})
-	a, err := sess.Analyze(s.cfg.MaxIterations)
+	sess := whatif.NewSystemSession(sys, whatif.Options{Store: s.store, Workers: s.cfg.Workers})
+	a, err := s.analyze(r, sess)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, CodeAnalysisFailed, "analysis: %v", err)
 		return
@@ -162,7 +162,7 @@ func (s *Server) handleSessionAnalysis(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	a, err := sess.Analyze(s.cfg.MaxIterations)
+	a, err := s.analyze(r, sess)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, CodeAnalysisFailed, "analysis: %v", err)
 		return
@@ -197,7 +197,7 @@ func (s *Server) handleSessionChanges(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "apply: %v", err)
 		return
 	}
-	a, err := sess.Analyze(s.cfg.MaxIterations)
+	a, err := s.analyze(r, sess)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, CodeAnalysisFailed, "analysis: %v", err)
 		return

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,6 +87,94 @@ func TestPromMetricsDiskTier(t *testing.T) {
 	}
 	sample(t, body, `symtago_cache_skipped_total{tier="l2"}`) // fails the test when absent
 	assertFamiliesGrouped(t, body)
+}
+
+// TestTracedSessionRoutesRecordCacheSpans pins one cache accountant on
+// the interactive path: a traced session analysis or revision carries
+// one cache.l1 span whose hits and misses are exactly the change the
+// request made to the session's counters (GET /v1/sessions/{id}), and,
+// over a disk level, one cache.l2 span splitting those misses.
+func TestTracedSessionRoutesRecordCacheSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"lru", Config{Workers: 1}}, {"disk", Config{Workers: 1, CacheDir: t.TempDir()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := mustServer(t, tc.cfg)
+			hs := httptest.NewServer(srv.Handler())
+			t.Cleanup(func() { hs.Close(); srv.Close() })
+			status, body := do(t, "POST", hs.URL+"/v1/sessions", testSpec(t, 5))
+			if status != http.StatusCreated {
+				t.Fatalf("create: %d %s", status, body)
+			}
+			var sc SessionCreated
+			if err := json.Unmarshal(body, &sc); err != nil {
+				t.Fatal(err)
+			}
+			info := func() SessionInfo {
+				status, body := do(t, "GET", hs.URL+"/v1/sessions/"+sc.ID, "")
+				var si SessionInfo
+				if err := json.Unmarshal(body, &si); status != http.StatusOK || err != nil {
+					t.Fatalf("info: %d %s", status, body)
+				}
+				return si
+			}
+			for i, req := range []struct{ method, path, body string }{
+				{"GET", "/analysis", ""},
+				{"POST", "/changes", "set-event-jitter bus0/M001_25ms 200us\n"},
+				{"GET", "/analysis", ""},
+			} {
+				before := info()
+				id := fmt.Sprintf("%032x", i+1)
+				if status, body, _ := doTraced(t, req.method, hs.URL+"/v1/sessions/"+sc.ID+req.path, req.body, id); status != http.StatusOK {
+					t.Fatalf("%s %s: %d %s", req.method, req.path, status, body)
+				}
+				after := info()
+				hits := after.Hits + after.ReportHits - before.Hits - before.ReportHits
+				misses := after.Misses - before.Misses
+				spans := cacheSpans(t, hs.URL, id)
+				if l1 := spans["cache.l1"]; len(l1) != 1 || l1[0]["hits"] != fmt.Sprint(hits) || l1[0]["misses"] != fmt.Sprint(misses) {
+					t.Fatalf("%s %s: cache.l1 spans %v, want one with hits %d misses %d", req.method, req.path, l1, hits, misses)
+				}
+				l2 := spans["cache.l2"]
+				if tc.cfg.CacheDir == "" {
+					if len(l2) != 0 {
+						t.Fatalf("%s %s: cache.l2 spans %v without a shared level", req.method, req.path, l2)
+					}
+					continue
+				}
+				if len(l2) != 1 || l2[0]["hits"] != "0" || l2[0]["misses"] != fmt.Sprint(misses) {
+					t.Fatalf("%s %s: cache.l2 spans %v, want one splitting %d cold misses", req.method, req.path, l2, misses)
+				}
+			}
+		})
+	}
+}
+
+// cacheSpans fetches trace id and returns the attributes of its cache
+// spans by name.
+func cacheSpans(t *testing.T, base, id string) map[string][]map[string]string {
+	t.Helper()
+	status, body := do(t, "GET", base+"/v1/trace/"+id, "")
+	if status != http.StatusOK {
+		t.Fatalf("trace %s: %d %s", id, status, body)
+	}
+	var export struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(body, &export); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]map[string]string{}
+	for _, ev := range export.TraceEvents {
+		if strings.HasPrefix(ev.Name, "cache.") {
+			out[ev.Name] = append(out[ev.Name], ev.Args)
+		}
+	}
+	return out
 }
 
 // assertFamiliesGrouped checks the exposition format's grouping rule:

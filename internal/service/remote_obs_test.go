@@ -15,10 +15,10 @@ import (
 	"repro/internal/cacheserver"
 )
 
-// newRemoteTestServer starts a real cacheserver plus a service wired
-// to it as the fleet tier (with a local disk level, so the full
-// three-tier stack is live).
-func newRemoteTestServer(t *testing.T) (*Server, string) {
+// newRemoteServer starts a real cacheserver plus a service wired to it
+// as the fleet tier, over a disk level in cacheDir (none when empty;
+// with one, the full three-tier stack is live).
+func newRemoteServer(t *testing.T, cacheDir string) (*Server, string) {
 	t.Helper()
 	disk, err := cache.NewDisk(t.TempDir(), 0)
 	if err != nil {
@@ -27,41 +27,53 @@ func newRemoteTestServer(t *testing.T) (*Server, string) {
 	t.Cleanup(disk.Close)
 	cs := httptest.NewServer(cacheserver.New(disk).Handler())
 	t.Cleanup(cs.Close)
-	srv := mustServer(t, Config{Workers: 1, CacheDir: t.TempDir(), RemoteCache: cs.URL})
+	srv := mustServer(t, Config{Workers: 1, CacheDir: cacheDir, RemoteCache: cs.URL})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	return srv, hs.URL
 }
 
 // TestPromMetricsRemoteTier: with a remote cache configured, /metrics
-// exposes all three tiers plus the remote-client families (breaker
-// state, write-behind pipeline, fetch latency histogram).
+// exposes the fleet tier as tier="remote" — under a disk level (all
+// three tiers) or alone (no l2) — plus the remote-client families
+// (breaker state, write-behind pipeline, fetch latency histogram).
 func TestPromMetricsRemoteTier(t *testing.T) {
-	_, base := newRemoteTestServer(t)
-	if status, body := do(t, "POST", base+"/v1/analyze", testSpec(t, 5)); status != http.StatusOK {
-		t.Fatalf("analyze: %d %s", status, body)
-	}
-	status, body := do(t, "GET", base+"/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("/metrics: %d %s", status, body)
-	}
-	text := string(body)
-	for _, want := range []string{
-		`symtago_cache_hits_total{tier="l1"}`,
-		`symtago_cache_hits_total{tier="l2"}`,
-		`symtago_cache_hits_total{tier="remote"}`,
-		"# TYPE symtago_remote_cache_gets_total counter",
-		"symtago_remote_cache_errors_total 0",
-		"symtago_remote_cache_degraded_total 0",
-		`symtago_remote_cache_puts_total{outcome="queued"}`,
-		"symtago_remote_cache_breaker_state 0",
-		"symtago_remote_cache_breaker_opens_total 0",
-		"# TYPE symtago_remote_cache_fetch_seconds histogram",
-		`symtago_remote_cache_fetch_seconds_bucket{le="+Inf"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	for _, tc := range []struct {
+		name     string
+		cacheDir string
+	}{{"three-tier", t.TempDir()}, {"remote-only", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, base := newRemoteServer(t, tc.cacheDir)
+			if status, body := do(t, "POST", base+"/v1/analyze", testSpec(t, 5)); status != http.StatusOK {
+				t.Fatalf("analyze: %d %s", status, body)
+			}
+			status, body := do(t, "GET", base+"/metrics", "")
+			if status != http.StatusOK {
+				t.Fatalf("/metrics: %d %s", status, body)
+			}
+			text := string(body)
+			for _, want := range []string{
+				`symtago_cache_hits_total{tier="l1"}`,
+				`symtago_cache_hits_total{tier="remote"}`,
+				`symtago_cache_misses_total{tier="remote"}`,
+				"# TYPE symtago_remote_cache_gets_total counter",
+				"symtago_remote_cache_errors_total 0",
+				"symtago_remote_cache_degraded_total 0",
+				`symtago_remote_cache_puts_total{outcome="queued"}`,
+				"symtago_remote_cache_breaker_state 0",
+				"symtago_remote_cache_breaker_opens_total 0",
+				"# TYPE symtago_remote_cache_fetch_seconds histogram",
+				`symtago_remote_cache_fetch_seconds_bucket{le="+Inf"}`,
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+			if hasL2 := strings.Contains(text, `tier="l2"`); hasL2 != (tc.cacheDir != "") {
+				t.Errorf("/metrics has tier=\"l2\" samples: %v, want %v", hasL2, tc.cacheDir != "")
+			}
+			assertFamiliesGrouped(t, body)
+		})
 	}
 }
 
@@ -71,7 +83,7 @@ func TestPromMetricsRemoteTier(t *testing.T) {
 // payload.
 func TestRemoteTierResponseByteIdentical(t *testing.T) {
 	_, plain := newTestServer(t)
-	_, remote := newRemoteTestServer(t)
+	_, remote := newRemoteServer(t, t.TempDir())
 	spec := testSpec(t, 11)
 	_, want := do(t, "POST", plain+"/v1/analyze", spec)
 	for _, pass := range []string{"cold", "warm"} {
@@ -89,7 +101,7 @@ func TestRemoteTierResponseByteIdentical(t *testing.T) {
 // records the aggregated cache.remote span once remote traffic
 // occurred.
 func TestTraceRemoteSpan(t *testing.T) {
-	_, base := newRemoteTestServer(t)
+	_, base := newRemoteServer(t, t.TempDir())
 	const id = "ffeeddccbbaa99887766554433221100"
 	status, body, _ := doTraced(t, "POST", base+"/v1/analyze", testSpec(t, 7), id)
 	if status != http.StatusOK {

@@ -144,7 +144,8 @@ func (c Config) withDefaults() Config {
 // expose with Handler.
 type Server struct {
 	cfg       Config
-	store     cache.Store   // session/analyze memo store (LRU, or Tiered over shared.Store)
+	lru       *cache.LRU    // the memo's in-process level
+	store     cache.Store   // session/analyze memo store (lru, or Tiered over shared.Store)
 	shared    *cache.Shared // the process-shared disk and remote tiers under store
 	reg       *whatif.Registry
 	metrics   *metrics
@@ -171,13 +172,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	// The memo LRU sits on top of the shared level. Composition by
-	// nesting keeps the pinned-stats contract: session counters see
-	// only primary-level hits, so responses stay byte-identical for any
-	// cache state.
-	var store cache.Store = cache.NewLRU(cfg.StoreCapacity)
+	// The memo LRU sits on top of the shared level. Session counters
+	// see only its hits, so responses stay byte-identical for any cache
+	// state.
+	lru := cache.NewLRU(cfg.StoreCapacity)
+	var store cache.Store = lru
 	if shared.Store != nil {
-		store = cache.NewTiered(store, shared.Store)
+		store = cache.NewTiered(lru, shared.Store)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := whatif.NewRegistry(cfg.SessionTTL)
@@ -190,6 +191,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
+		lru:       lru,
 		store:     store,
 		shared:    shared,
 		reg:       reg,

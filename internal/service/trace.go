@@ -1,27 +1,25 @@
 package service
 
 import (
-	"context"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/obs"
+	"repro/internal/whatif"
 )
-
-// tracedStoreKey keys the request's tracing cache wrapper in its
-// context.
-type tracedStoreKey struct{}
 
 // instrument wraps a handler, attributing its requests to route and —
 // when the collector samples the request or the client supplied an
-// X-Trace-Id — recording a root span plus aggregated cache-tier spans.
-// Traced responses carry the trace ID back in the X-Trace-Id response
-// header; bodies are never touched, so responses stay byte-identical
-// with tracing on or off. The route's counters are registered here, at
-// mux construction, so the per-request observe path is lock-free.
+// X-Trace-Id — recording a root span under which handlers record
+// theirs (analyze adds the cache-tier spans). Traced responses carry
+// the trace ID back in the X-Trace-Id response header; bodies are never
+// touched, so responses stay byte-identical with tracing on or off. The
+// route's counters are registered here, at mux construction, so the
+// per-request observe path is lock-free.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	rm := s.metrics.register(route)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -38,28 +36,40 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		ctx := obs.ContextWithTrace(r.Context(), tr)
 		ctx = obs.ContextWithSpanID(ctx, parent)
 		ctx, sp := obs.StartSpan(ctx, route)
-		ts := obs.NewTracedStore(s.store)
-		ctx = context.WithValue(ctx, tracedStoreKey{}, ts)
 		h(rec, r.WithContext(ctx))
 		elapsed := time.Since(startedAt)
 		sp.SetInt("status", int64(rec.status))
 		sp.SetAttr("tenant", tenantOf(r))
 		sp.End()
-		ts.Finish(tr, sp.ID())
 		s.flight.Offer(route, startedAt, elapsed, tr.Subtree(sp.ID()))
 		rm.observe(rec.status, elapsed)
 	}
 }
 
-// storeFor returns the request's view of the shared analysis store:
-// the tracing wrapper installed by instrument on traced requests, the
-// bare store otherwise. Both views satisfy cache.Leveled, so sessions
-// count hits identically through either — the wrapper only observes.
-func (s *Server) storeFor(r *http.Request) cache.Store {
-	if ts, ok := r.Context().Value(tracedStoreKey{}).(*obs.TracedStore); ok && ts != nil {
-		return ts
+// analyze runs sess's analysis for a request: the one call through
+// which every route that analyses reaches a session. On a traced
+// request it records this call's cache traffic — the change in the
+// session's own counters — and the fleet tier's movement under the
+// route's span.
+func (s *Server) analyze(r *http.Request, sess *whatif.SystemSession) (*core.Analysis, error) {
+	tr := obs.TraceFrom(r.Context())
+	if tr == nil {
+		return sess.Analyze(s.cfg.MaxIterations)
 	}
-	return s.store
+	before := sess.Stats()
+	var remote cache.RemoteStats
+	if s.shared.Remote != nil {
+		remote = s.shared.Remote.RemoteStats()
+	}
+	a, err := sess.Analyze(s.cfg.MaxIterations)
+	after := sess.Stats()
+	parent := obs.SpanIDFrom(r.Context())
+	obs.RecordCache(tr, parent, after.Hits+after.ReportHits-before.Hits-before.ReportHits,
+		after.Misses-before.Misses, after.SharedHits-before.SharedHits, s.shared.Store != nil)
+	if s.shared.Remote != nil {
+		obs.RecordRemote(tr, parent, remote, s.shared.Remote.RemoteStats())
+	}
+	return a, err
 }
 
 // shardCounters aggregates coordinator-side shard events across all
@@ -185,21 +195,18 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Uint("symtago_tenant_shed_total", obs.Labels{"tenant", t}, tc[t].shed)
 	}
 
-	// Cache tiers: the shared analysis store's levels. A tiered store
-	// reports its levels — with a remote third tier the second level is
-	// itself tiered (disk over fleet), so its stats unnest one more
-	// step; a flat store is its own l1.
-	st := s.store.Stats()
+	// Cache tiers, one handle each: the memo LRU, then the shared
+	// level's disk and fleet tiers when configured.
 	type tier struct {
 		name string
 		cs   cache.Stats
 	}
-	tiers := []tier{{"l1", st}}
-	switch {
-	case st.L1 != nil && st.L2 != nil && st.L2.L1 != nil && st.L2.L2 != nil:
-		tiers = []tier{{"l1", *st.L1}, {"l2", *st.L2.L1}, {"remote", *st.L2.L2}}
-	case st.L1 != nil && st.L2 != nil:
-		tiers = []tier{{"l1", *st.L1}, {"l2", *st.L2}}
+	tiers := []tier{{"l1", s.lru.Stats()}}
+	if s.shared.Disk != nil {
+		tiers = append(tiers, tier{"l2", s.shared.Disk.Stats()})
+	}
+	if s.shared.Remote != nil {
+		tiers = append(tiers, tier{"remote", s.shared.Remote.Stats()})
 	}
 	for _, f := range []struct {
 		name, typ, help string

@@ -34,6 +34,11 @@ type Stats struct {
 	// Misses counts per-message analyses not answered in-process
 	// (recomputed, or served by a shared second level).
 	Misses uint64
+	// SharedHits counts the Misses a shared second level answered. It
+	// depends on the shared level's state, so it is not pinned: no
+	// campaign row, service response or SessionInfo reads it, only the
+	// cache.l2 trace span.
+	SharedHits uint64
 	// Store snapshots the (possibly shared) backing store.
 	Store cache.Stats
 }

@@ -161,9 +161,18 @@ func (c AddMessage) apply(rows []kmatrix.Message) ([]kmatrix.Message, error) {
 	return append(rows, row), nil
 }
 
+// String renders deadline= and extended= only when set, so an add
+// without them prints as it always has.
 func (c AddMessage) String() string {
-	return fmt.Sprintf("add %s id=%s dlc=%d period=%v jitter=%v sender=%s",
+	s := fmt.Sprintf("add %s id=%s dlc=%d period=%v jitter=%v sender=%s",
 		c.Row.Name, c.Row.ID, c.Row.DLC, c.Row.Period, c.Row.Jitter, c.Row.Sender)
+	if c.Row.Deadline != 0 {
+		s += fmt.Sprintf(" deadline=%v", c.Row.Deadline)
+	}
+	if c.Row.Extended {
+		s += " extended=true"
+	}
+	return s
 }
 
 // RemoveMessage deletes a row.

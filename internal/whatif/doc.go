@@ -32,8 +32,9 @@
 //
 // Dirtiness is not tracked with explicit flags; it falls out of
 // content addressing. Every analysis unit is a pure function of an
-// explicit input interface, and its converged result is memoized in a
-// shared LRU store under a digest of exactly those inputs:
+// explicit input interface, and its converged result is memoized under
+// a digest of exactly those inputs in the session's store: an LRU, or
+// a cache.Tiered whose shared level the memo consults after the LRU:
 //
 //   - per CAN message (rta.AnalyzeCached): the analysis configuration,
 //     the priority-ordered messages at and above the level (their event
@@ -70,6 +71,8 @@
 // worker count: every memoized value is the output of the same pure
 // function the from-scratch path runs, keyed by all of its inputs.
 // Sessions therefore never change results, only which analyses run.
+// Their counters (Stats) are pinned to the LRU, so a warm shared level
+// changes them no more than results; trace spans read the same ones.
 //
 // Reports returned by sessions are shared with the memo store and must
 // be treated as read-only.

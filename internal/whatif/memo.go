@@ -12,13 +12,16 @@ import (
 	"repro/internal/tdma"
 )
 
-// memo is the analysis memo of one session: it resolves reports against
-// the (possibly shared) store and charges hits and misses to the
-// session's Stats. *memo is the rta.ResultCache of per-message results
-// and the core.Analyzers through which a SystemSession runs core's
-// fixpoint. Analyses call it serially, so plain counters suffice.
+// memo is the analysis memo of one session and the one accountant of
+// its cache traffic. A cache.Tiered store is read as its two levels: l1,
+// the in-process level the session's counters are pinned to, and l2,
+// the shared level behind it (nil for a flat store). *memo is the
+// rta.ResultCache of per-message results and the core.Analyzers
+// through which a SystemSession runs core's fixpoint. Analyses call it
+// serially, so plain counters suffice.
 type memo struct {
 	store   cache.Store
+	l1, l2  cache.Store
 	workers int
 	stats   Stats
 }
@@ -28,7 +31,11 @@ func newMemo(opts Options) memo {
 	if store == nil {
 		store = cache.NewLRU(0)
 	}
-	return memo{store: store, workers: opts.Workers}
+	m := memo{store: store, l1: store, workers: opts.Workers}
+	if t, ok := store.(*cache.Tiered); ok {
+		m.l1, m.l2 = t.L1(), t.L2()
+	}
+	return m
 }
 
 // snapshot returns the counters plus a snapshot of the backing store.
@@ -38,22 +45,43 @@ func (m *memo) snapshot() Stats {
 	return st
 }
 
+// get resolves key against L1, then L2. An L2 answer is promoted into
+// L1, which is exactly where a cold run's Put would have placed it;
+// l1 reports whether L1 answered.
+func (m *memo) get(key contenthash.Digest) (v any, l1, ok bool) {
+	if v, ok := m.l1.Get(key); ok || m.l2 == nil {
+		return v, ok, ok
+	}
+	if v, ok = m.l2.Get(key); ok {
+		m.l1.Put(key, v)
+	}
+	return v, false, ok
+}
+
 // Get counts a hit only when the in-process level answered. A shared
 // second-level hit still returns the value (the caller skips the
-// recomputation and the store promotes the entry into L1, which is
-// exactly where a cold run's Put would have placed it) but is charged
-// as a miss, keeping session counters independent of shared state.
+// recomputation) but is charged as a miss, keeping session counters
+// independent of shared state.
 func (m *memo) Get(key contenthash.Digest) (any, bool) {
-	v, primary, ok := cache.GetLeveled(m.store, key)
-	if ok && primary {
+	v, l1, ok := m.get(key)
+	if l1 {
 		m.stats.Hits++
 	} else {
-		m.stats.Misses++
+		m.l1Miss(ok)
 	}
 	return v, ok
 }
 
-// Put stores a per-message result.
+// l1Miss charges a lookup L1 could not answer, noting whether the
+// shared level did.
+func (m *memo) l1Miss(shared bool) {
+	m.stats.Misses++
+	if shared {
+		m.stats.SharedHits++
+	}
+}
+
+// Put stores a per-message result (in every level).
 func (m *memo) Put(key contenthash.Digest, v any) { m.store.Put(key, v) }
 
 // bus is the whole-bus memo both session kinds share. A bus already in
@@ -65,7 +93,7 @@ func (m *memo) Put(key contenthash.Digest, v any) { m.store.Put(key, v) }
 // shared-cache state.
 func (m *memo) bus(msgs []rta.Message, cfg rta.Config) (*rta.Report, error) {
 	key := reportKey(tagBusReport, cfg, msgs)
-	if v, ok := cache.GetPrimary(m.store, key); ok {
+	if v, ok := m.l1.Get(key); ok {
 		if rep, ok := v.(*rta.Report); ok {
 			m.stats.ReportHits++
 			return rep, nil
@@ -75,13 +103,13 @@ func (m *memo) bus(msgs []rta.Message, cfg rta.Config) (*rta.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache.PutPrimary(m.store, key, rep)
+	m.l1.Put(key, rep)
 	return rep, nil
 }
 
 // The other whole-resource reports do consult the shared second level:
 // they are the unit of recomputation, so a remote hit replaces the
-// analysis one-for-one. As in Get, only a primary hit is counted as a
+// analysis one-for-one. As in Get, only an L1 hit is counted as a
 // ReportHit; an L2 hit is charged like the recomputation it replaced.
 
 func (m *memo) Bus(name string, msgs []rta.Message, cfg rta.Config) (*rta.Report, error) {
@@ -133,15 +161,15 @@ func (m *memo) Gateway(name string, flows []gateway.Flow, cfg gateway.Config) (*
 
 // lookup returns a memoized whole-resource report of type R.
 func lookup[R any](m *memo, key contenthash.Digest) (R, bool) {
-	v, primary, ok := cache.GetLeveled(m.store, key)
+	v, l1, ok := m.get(key)
 	rep, isR := v.(R)
 	if !ok || !isR {
 		return rep, false
 	}
-	if primary {
+	if l1 {
 		m.stats.ReportHits++
 	} else {
-		m.stats.Misses++
+		m.l1Miss(true)
 	}
 	return rep, true
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -24,6 +25,7 @@ import (
 //	set-deadline <message> <duration>
 //	scale-jitter <fraction> [only-unknown]
 //	add <name> id=<id> dlc=<bytes> period=<duration> [jitter=<duration>] [sender=<node>]
+//	    [deadline=<duration>] [extended=<bool>]
 //	remove <message>
 func ParseScript(r io.Reader) (ChangeSet, error) {
 	var changes ChangeSet
@@ -130,6 +132,9 @@ func parseLine(line string) (Change, error) {
 		scale, err := strconv.ParseFloat(args[0], 64)
 		if err != nil {
 			return nil, err
+		}
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			return nil, fmt.Errorf("scale-jitter fraction %v is not finite", scale)
 		}
 		c := ScaleJitter{Scale: scale}
 		if len(args) == 2 {

@@ -225,8 +225,12 @@ func (c RetuneGateway) applySystem(s *SystemSession) error {
 }
 
 func (c RetuneGateway) String() string {
-	return fmt.Sprintf("retune-gateway %s (policy=%s batch=%d depth=%d)",
-		c.Resource, c.Config.Policy, c.Config.Batch, c.Config.QueueDepth)
+	policy := "fifo"
+	if c.Config.Policy == gateway.PerMessageBuffer {
+		policy = "buffer"
+	}
+	return fmt.Sprintf("retune-gateway %s period=%v jitter=%v batch=%d policy=%s depth=%d", c.Resource,
+		c.Config.Service.Period, c.Config.Service.Jitter, c.Config.Batch, policy, c.Config.QueueDepth)
 }
 
 // SetTDMASlot resizes the slot owned by a message in a TDMA schedule.

@@ -62,18 +62,22 @@ func TestTieredSessionPinned(t *testing.T) {
 	if got, want := sessionOnly(warmStats), sessionOnly(refStats); got != want {
 		t.Fatalf("warm tiered run: stats %+v, want %+v", got, want)
 	}
-	if warmStats.Store.L2Hits == 0 || warmStats.Store.Promotions == 0 {
-		t.Fatalf("warm run never touched the disk level: %+v", warmStats.Store)
+	if coldStats.SharedHits != 0 {
+		t.Fatalf("cold run charged %d shared-level hits over an empty disk", coldStats.SharedHits)
+	}
+	if warmStats.SharedHits == 0 {
+		t.Fatalf("warm run never touched the disk level: %+v", warmStats)
 	}
 	if ds := disk.Stats(); ds.Hits == 0 {
 		t.Fatalf("disk level reports no hits on the warm rerun: %+v", ds)
 	}
 }
 
-// sessionOnly strips the store snapshot, leaving the per-session
-// counters that campaign rows embed.
+// sessionOnly strips the store snapshot and the unpinned SharedHits,
+// leaving the per-session counters that campaign rows embed.
 func sessionOnly(s Stats) Stats {
 	s.Store = cache.Stats{}
+	s.SharedHits = 0
 	return s
 }
 
@@ -121,7 +125,7 @@ func TestTieredSystemSessionPinned(t *testing.T) {
 	if !reflect.DeepEqual(warmA, refA) {
 		t.Fatal("warm tiered system analysis differs from private-LRU analysis")
 	}
-	if warmStats.Store.L2Hits == 0 {
-		t.Fatalf("warm system run never hit the disk level: %+v", warmStats.Store)
+	if warmStats.SharedHits == 0 {
+		t.Fatalf("warm system run never hit the disk level: %+v", warmStats)
 	}
 }

@@ -11,7 +11,9 @@
 #      spans AND the worker-side execution spans of BOTH workers are
 #      present (propagated over X-Trace-Id, spliced back via the
 #      shard response);
-#   3. cache-tier lookups appear as cache.l1 spans.
+#   3. every scenario span carries one cache.l1 span, and their hits
+#      and misses sum to the scenario spans' cache_hits and
+#      cache_misses: the spans and the rows read one cache accountant.
 #
 # Any failure is a correctness bug, never a flake: the corpus is seeded
 # and the span names are structural, not timing-dependent.
@@ -88,6 +90,16 @@ need("shard.dispatch", "coordinator dispatch")
 need("worker.shard", "worker-side execution came back over the wire")
 need("scenario", "per-scenario pipeline spans")
 need("cache.l1", "cache-tier lookups")
+if names["cache.l1"] != names["scenario"]:
+    sys.exit("trace-gate: %d cache.l1 spans for %d scenario spans"
+             % (names["cache.l1"], names["scenario"]))
+def total(name, key):
+    return sum(int(e["args"][key]) for e in events if e["name"] == name)
+for span_key, row_key in (("hits", "cache_hits"), ("misses", "cache_misses")):
+    spans, rows = total("cache.l1", span_key), total("scenario", row_key)
+    if spans != rows:
+        sys.exit(f"trace-gate: cache.l1 {span_key} sum to {spans}, "
+                 f"the scenario spans' {row_key} to {rows}")
 
 # Every shard's worker-side spans must be present: as many worker.shard
 # roots as dispatch attempts that succeeded, and both workers must have
@@ -105,7 +117,8 @@ if names["worker.shard"] < names["shard.dispatch"]:
              "some shard executed without returning its spans"
              % (names["worker.shard"], names["shard.dispatch"]))
 print(f"trace-gate: {len(events)} spans, both workers present, "
-      f"{names['worker.shard']} worker-side shard traces")
+      f"{names['worker.shard']} worker-side shard traces, "
+      f"{names['cache.l1']} cache.l1 spans agree with the rows")
 PY
 
 echo "trace-gate: PASS — one connected trace across coordinator and both workers, report unchanged"
