@@ -11,8 +11,9 @@
 // parse reads a bench transcript on stdin (or -in) and writes the
 // per-benchmark metric medians as JSON. compare exits 1 when a gated
 // metric of a key benchmark regressed past the threshold: ns/op (and
-// B/op, allocs/op) rising, or the custom rate metrics (speedup,
-// scenarios/s, frames/s) falling.
+// B/op, allocs/op, p99_*) rising, or the custom rate metrics
+// (scenarios/s, frames/s, requests/s) falling. The what-if speedup
+// ratio is reported, not gated.
 package main
 
 import (

@@ -203,12 +203,7 @@ func cmdCampaign(args []string) error {
 // cancelled shards at their next scenario boundary.
 func runDistributed(ctx context.Context, spec scenario.Spec, cfg campaign.Config, opts distrib.Options, quick, needCorpus bool) (*campaign.Report, *scenario.Corpus, error) {
 	if quick {
-		if spec.Count == 0 {
-			spec.Count = 64
-		}
-		if cfg.Duration == 0 {
-			cfg.Duration = 100 * time.Millisecond
-		}
+		spec, cfg = campaign.Quick(spec, cfg)
 	}
 	job, err := campaign.NewSpecJob(spec, cfg)
 	if err != nil {

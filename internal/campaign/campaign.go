@@ -27,12 +27,6 @@ type Config struct {
 	Seeds int
 	// Duration is the simulated span per run (default 200ms).
 	Duration time.Duration
-	// StoreCapacity bounds each scenario's what-if store, in cost units
-	// (default 4096).
-	StoreCapacity int
-	// MaxIterations bounds the compositional fixpoint (default
-	// core.DefaultMaxIterations).
-	MaxIterations int
 	// Cache is an optional shared second-level store (typically a
 	// cache.Disk). When set, each scenario's private LRU is stacked on
 	// top of it as a cache.Tiered, so converged results survive across
@@ -55,10 +49,19 @@ func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 200 * time.Millisecond
 	}
-	if c.StoreCapacity == 0 {
-		c.StoreCapacity = 4096
-	}
 	return c
+}
+
+// Quick applies the CI-sized preset to what the caller left unset: a
+// 64-scenario corpus and a 100ms simulated span.
+func Quick(spec scenario.Spec, cfg Config) (scenario.Spec, Config) {
+	if spec.Count == 0 {
+		spec.Count = 64
+	}
+	if cfg.Duration == 0 {
+		cfg.Duration = 100 * time.Millisecond
+	}
+	return spec, cfg
 }
 
 // ScenarioResult is the per-scenario row of a campaign.
@@ -112,6 +115,10 @@ type ScenarioResult struct {
 // scenarioSpanLimit bounds one scenario's scratch trace. The pipeline
 // records about a dozen spans; the limit is a safety net, not a budget.
 const scenarioSpanLimit = 64
+
+// storeCapacity bounds each scenario's private what-if store, in cost
+// units.
+const storeCapacity = 4096
 
 // runOne executes the three-stage pipeline for one scenario. When ctx
 // carries a recording trace or the configuration has a flight
@@ -174,7 +181,7 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	root.SetInt("buses", int64(row.Buses))
 	root.SetInt("messages", int64(row.Messages))
 
-	var store cache.Store = cache.NewLRU(cfg.StoreCapacity)
+	var store cache.Store = cache.NewLRU(storeCapacity)
 	if cfg.Cache != nil {
 		store = cache.NewTiered(store, cfg.Cache)
 	}
@@ -187,7 +194,7 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	}
 
 	_, asp := obs.StartSpan(ctx, "analyze")
-	base, err := sess.Analyze(cfg.MaxIterations)
+	base, err := sess.Analyze(core.DefaultMaxIterations)
 	if err != nil {
 		asp.End()
 		return row, fmt.Errorf("scenario %d: %w", sc.Index, err)
@@ -235,7 +242,7 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 		psp.End()
 		return row, fmt.Errorf("scenario %d: %w", sc.Index, err)
 	}
-	pert, err := sess.Analyze(cfg.MaxIterations)
+	pert, err := sess.Analyze(core.DefaultMaxIterations)
 	psp.SetInt("changes", int64(len(changes)))
 	psp.End()
 	if err != nil {

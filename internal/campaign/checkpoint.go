@@ -27,11 +27,9 @@ type checkpointFile struct {
 }
 
 type checkpointCfg struct {
-	Workers       int   `json:"workers"`
-	Seeds         int   `json:"seeds"`
-	DurationNS    int64 `json:"duration_ns"`
-	StoreCapacity int   `json:"store_capacity"`
-	MaxIterations int   `json:"max_iterations"`
+	Workers    int   `json:"workers"`
+	Seeds      int   `json:"seeds"`
+	DurationNS int64 `json:"duration_ns"`
 }
 
 // Checkpoint serialises the job's completed rows and configuration so
@@ -60,8 +58,7 @@ func (j *Job) Checkpoint(w io.Writer) error {
 		Corpus:  ref,
 		Config: checkpointCfg{
 			Workers: j.cfg.Workers, Seeds: j.cfg.Seeds,
-			DurationNS:    int64(j.cfg.Duration),
-			StoreCapacity: j.cfg.StoreCapacity, MaxIterations: j.cfg.MaxIterations,
+			DurationNS: int64(j.cfg.Duration),
 		},
 	}
 	j.mu.Lock()
@@ -98,8 +95,7 @@ func RestoreJob(r io.Reader) (*Job, error) {
 	}
 	j, err := NewSpecJob(spec, Config{
 		Workers: cp.Config.Workers, Seeds: cp.Config.Seeds,
-		Duration:      time.Duration(cp.Config.DurationNS),
-		StoreCapacity: cp.Config.StoreCapacity, MaxIterations: cp.Config.MaxIterations,
+		Duration: time.Duration(cp.Config.DurationNS),
 	})
 	if err != nil {
 		return nil, err

@@ -107,17 +107,48 @@ type Event struct {
 	Bytes int64 `json:"bytes,omitempty"`
 }
 
-// Stats summarises a distributed run for operators: it accumulates
-// across the coordinator's events, so a caller that also passes OnEvent
-// sees both.
+// Stats folds coordinator events; Add is the only code that counts
+// them. RunStats returns the fold of its run, and a caller that passes
+// OnEvent can fold the same events into a Stats of its own (the
+// service keeps one per campaign job and one for its symtago_shard_*
+// families).
 type Stats struct {
+	// Dispatched counts attempts handed to workers; Redispatched counts
+	// those after a shard's first attempt.
+	Dispatched, Redispatched int
 	// Shards counts installed shards; Retries counts failed attempts;
 	// DroppedWorkers counts retired workers.
 	Shards, Retries, DroppedWorkers int
 	// BytesOnWire totals shard response bodies as they travelled
 	// (post-compression).
 	BytesOnWire int64
+	// Latency sums the attempt durations of installed shards.
+	Latency time.Duration
 }
+
+// Add folds one coordinator event into the counts.
+func (s *Stats) Add(e Event) {
+	switch e.Type {
+	case EventDispatch:
+		s.Dispatched++
+		if e.Attempt > 1 {
+			s.Redispatched++
+		}
+	case EventShardDone:
+		s.Shards++
+		s.BytesOnWire += e.Bytes
+		s.Latency += time.Duration(e.ElapsedNS)
+	case EventShardFailed:
+		s.Retries++
+	case EventWorkerDropped:
+		s.DroppedWorkers++
+	}
+}
+
+// InFlight counts dispatched attempts that have neither installed nor
+// failed: at most one per live worker. An attempt abandoned by a
+// cancelled run stays in flight.
+func (s Stats) InFlight() int { return s.Dispatched - s.Shards - s.Retries }
 
 type shardTask struct {
 	r        campaign.ShardRange
@@ -284,15 +315,7 @@ func (c *coordinator) emit(e Event) {
 	e.Done, e.Total = c.job.Progress()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch e.Type {
-	case EventShardDone:
-		c.stats.Shards++
-		c.stats.BytesOnWire += e.Bytes
-	case EventShardFailed:
-		c.stats.Retries++
-	case EventWorkerDropped:
-		c.stats.DroppedWorkers++
-	}
+	c.stats.Add(e)
 	if c.opts.OnEvent != nil {
 		c.opts.OnEvent(e)
 	}

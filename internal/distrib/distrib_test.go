@@ -199,7 +199,7 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dropped, failed atomic.Int64
-	got, _, err := RunStats(context.Background(), job, Options{
+	got, stats, err := RunStats(context.Background(), job, Options{
 		Workers:   []string{srvVictim.URL, srvSurvivor.URL},
 		ShardSize: 2,
 		DropAfter: 1,
@@ -224,6 +224,37 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 	}
 	if victim.killed.Load() && dropped.Load() != 1 {
 		t.Fatalf("killed worker was not dropped (dropped=%d failed=%d)", dropped.Load(), failed.Load())
+	}
+	// The run's statistics fold the same events the callback saw: every
+	// failed attempt was dispatched again and nothing is left in flight.
+	if stats.DroppedWorkers != int(dropped.Load()) || stats.Retries != int(failed.Load()) ||
+		stats.Redispatched != stats.Retries || stats.Shards != spec.Count/2 || stats.InFlight() != 0 {
+		t.Fatalf("stats %+v (in flight %d) after %d drops and %d failures",
+			stats, stats.InFlight(), dropped.Load(), failed.Load())
+	}
+}
+
+// TestStatsAdd folds one shard's failed attempt, its retry and a
+// worker drop: each event type moves only its own counts.
+func TestStatsAdd(t *testing.T) {
+	r := campaign.ShardRange{Start: 0, Count: 2}
+	var st Stats
+	for _, e := range []Event{
+		{Type: EventDispatch, Shard: r, Attempt: 1},
+		{Type: EventShardFailed, Shard: r, Attempt: 1, ElapsedNS: 7},
+		{Type: EventWorkerDropped, Shard: r, Attempt: 1},
+		{Type: EventDispatch, Shard: r, Attempt: 2},
+	} {
+		st.Add(e)
+	}
+	if st.InFlight() != 1 {
+		t.Fatalf("in flight %d after a retry's dispatch, want 1", st.InFlight())
+	}
+	st.Add(Event{Type: EventShardDone, Shard: r, Attempt: 2, ElapsedNS: 5e6, Bytes: 300})
+	want := Stats{Dispatched: 2, Redispatched: 1, Shards: 1, Retries: 1, DroppedWorkers: 1,
+		BytesOnWire: 300, Latency: 5 * time.Millisecond}
+	if st != want || st.InFlight() != 0 {
+		t.Fatalf("stats %+v (in flight %d), want %+v", st, st.InFlight(), want)
 	}
 }
 

@@ -38,6 +38,37 @@ func shardRequestBody(tb testing.TB, r campaign.ShardRange) []byte {
 	return body
 }
 
+// TestShardConfigIgnoresRetiredFields: the store capacity and the
+// fixpoint's iteration cap are constants, no longer wire fields. A
+// request that still names them — here at values that would cut the
+// fixpoint after one round and shrink every scenario's store to one
+// cost unit — gets the same response bytes as one that does not.
+func TestShardConfigIgnoresRetiredFields(t *testing.T) {
+	plain := shardRequestBody(t, fuzzShard)
+	var req map[string]any
+	if err := json.Unmarshal(plain, &req); err != nil {
+		t.Fatal(err)
+	}
+	cfg := req["config"].(map[string]any)
+	cfg["store_capacity"], cfg["max_iterations"] = 1, 1
+	legacy, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewWorker(WorkerConfig{Workers: 1}).Handler()
+	answer := func(body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("worker: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	if !bytes.Equal(answer(legacy), answer(plain)) {
+		t.Fatal("store_capacity/max_iterations changed the shard's rows")
+	}
+}
+
 // answerFunc is a transport that answers every request itself.
 type answerFunc func(*http.Request) *http.Response
 

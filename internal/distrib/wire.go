@@ -26,35 +26,25 @@ const HealthPath = "/healthz"
 // shard. It deliberately excludes campaign.Config.Workers (each worker
 // sizes its own pool — parallelism never changes rows) and
 // campaign.Config.Cache (the shared level is process-local; workers
-// bring their own).
+// bring their own). The scenario store's capacity and the fixpoint's
+// iteration cap are constants on both sides, so neither travels: a
+// request that still carries store_capacity or max_iterations decodes
+// with them ignored.
 type ShardConfig struct {
-	Seeds         int   `json:"seeds"`
-	DurationNS    int64 `json:"duration_ns"`
-	StoreCapacity int   `json:"store_capacity"`
-	MaxIterations int   `json:"max_iterations"`
+	Seeds      int   `json:"seeds"`
+	DurationNS int64 `json:"duration_ns"`
 }
 
 // NewShardConfig strips a campaign configuration down to the fields
 // that determine row content.
 func NewShardConfig(cfg campaign.Config) ShardConfig {
-	return ShardConfig{
-		Seeds:         cfg.Seeds,
-		DurationNS:    int64(cfg.Duration),
-		StoreCapacity: cfg.StoreCapacity,
-		MaxIterations: cfg.MaxIterations,
-	}
+	return ShardConfig{Seeds: cfg.Seeds, DurationNS: int64(cfg.Duration)}
 }
 
 // Campaign expands the wire configuration back into a campaign.Config
 // with the given local worker-pool size.
 func (c ShardConfig) Campaign(workers int) campaign.Config {
-	return campaign.Config{
-		Workers:       workers,
-		Seeds:         c.Seeds,
-		Duration:      time.Duration(c.DurationNS),
-		StoreCapacity: c.StoreCapacity,
-		MaxIterations: c.MaxIterations,
-	}
+	return campaign.Config{Workers: workers, Seeds: c.Seeds, Duration: time.Duration(c.DurationNS)}
 }
 
 // ShardRequest asks a worker to compute rows for the contiguous

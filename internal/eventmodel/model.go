@@ -114,12 +114,6 @@ func (m Model) String() string {
 	return fmt.Sprintf("%s(P=%v)", kind, m.Period)
 }
 
-// WithJitter returns a copy of the model with the jitter replaced.
-func (m Model) WithJitter(j time.Duration) Model {
-	m.Jitter = j
-	return m
-}
-
 // OutputModel derives the event model at the output of a task or message
 // that is activated by m: the period is preserved, the jitter grows by
 // the element's delay variation, and the minimum distance can shrink

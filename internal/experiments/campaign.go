@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/scenario"
@@ -15,10 +14,10 @@ type CampaignParams struct {
 	// the default population).
 	Spec scenario.Spec
 	// Config parameterises the engine (workers, simulation fan,
-	// store budget).
+	// shared cache).
 	Config campaign.Config
-	// Quick shrinks the corpus to 64 scenarios with a halved
-	// simulation span — the CI-friendly variant.
+	// Quick applies campaign.Quick: a 64-scenario corpus with a halved
+	// simulation span where unset — the CI-friendly variant.
 	Quick bool
 	// Context, when set, bounds the run and carries observability state
 	// (an obs trace records the campaign's spans). Nil means Background.
@@ -35,12 +34,7 @@ type CampaignParams struct {
 // listing generates exactly the corpus that ran.
 func RunCampaign(p CampaignParams) (*campaign.Report, scenario.Spec, error) {
 	if p.Quick {
-		if p.Spec.Count == 0 {
-			p.Spec.Count = 64
-		}
-		if p.Config.Duration == 0 {
-			p.Config.Duration = 100 * time.Millisecond
-		}
+		p.Spec, p.Config = campaign.Quick(p.Spec, p.Config)
 	}
 	ctx := p.Context
 	if ctx == nil {

@@ -25,9 +25,8 @@ const DefaultSampleRate = 0.01
 // later retrieval via GET /v1/trace/{id}. A nil *Collector never
 // samples and never retains.
 type Collector struct {
-	sample    float64
-	limit     int
-	spanLimit int
+	sample float64
+	limit  int
 
 	seed uint64
 
@@ -40,23 +39,20 @@ type Collector struct {
 // NewCollector returns a collector tracing the given fraction of
 // unsolicited requests. sample <= 0 disables sampling (header-carried
 // IDs are still honored); sample >= 1 traces everything. limit <= 0
-// selects DefaultTraceBuffer, spanLimit <= 0 DefaultSpanLimit.
-func NewCollector(sample float64, limit, spanLimit int) *Collector {
+// selects DefaultTraceBuffer. Each trace keeps up to DefaultSpanLimit
+// spans.
+func NewCollector(sample float64, limit int) *Collector {
 	if limit <= 0 {
 		limit = DefaultTraceBuffer
-	}
-	if spanLimit <= 0 {
-		spanLimit = DefaultSpanLimit
 	}
 	h := contenthash.New(0x6f62735f73656564) // "obs_seed"
 	h.Int(time.Now().UnixNano())
 	h.Int(int64(os.Getpid()))
 	return &Collector{
-		sample:    sample,
-		limit:     limit,
-		spanLimit: spanLimit,
-		seed:      binary.LittleEndian.Uint64(firstEight(h.Sum())),
-		traces:    make(map[ID]*Trace),
+		sample: sample,
+		limit:  limit,
+		seed:   binary.LittleEndian.Uint64(firstEight(h.Sum())),
+		traces: make(map[ID]*Trace),
 	}
 }
 
@@ -131,7 +127,7 @@ func (c *Collector) open(id ID) *Trace {
 	if tr, ok := c.traces[id]; ok {
 		return tr
 	}
-	tr := NewTrace(id, c.spanLimit)
+	tr := NewTrace(id, 0)
 	c.traces[id] = tr
 	c.order = append(c.order, id)
 	for len(c.order) > c.limit {

@@ -19,7 +19,7 @@ func TestCollectorNilSafe(t *testing.T) {
 }
 
 func TestCollectorHeaderAlwaysTraced(t *testing.T) {
-	c := NewCollector(0, 0, 0) // sampling disabled
+	c := NewCollector(0, 0) // sampling disabled
 	id := testID(0x3c)
 	r := httptest.NewRequest("GET", "/", nil)
 	r.Header.Set(TraceIDHeader, id.String())
@@ -45,9 +45,9 @@ func TestCollectorHeaderAlwaysTraced(t *testing.T) {
 }
 
 func TestCollectorSampling(t *testing.T) {
-	full := NewCollector(1, 0, 0)
-	off := NewCollector(0, 0, 0)
-	never := NewCollector(-1, 0, 0)
+	full := NewCollector(1, 0)
+	off := NewCollector(0, 0)
+	never := NewCollector(-1, 0)
 	sampled := 0
 	for i := 0; i < 100; i++ {
 		id := full.NewID()
@@ -62,7 +62,7 @@ func TestCollectorSampling(t *testing.T) {
 		t.Fatalf("rate 1.0 sampled %d/100", sampled)
 	}
 	// A fractional rate is deterministic per ID.
-	half := NewCollector(0.5, 0, 0)
+	half := NewCollector(0.5, 0)
 	id := half.NewID()
 	first := half.Sampled(id)
 	for i := 0; i < 10; i++ {
@@ -73,12 +73,12 @@ func TestCollectorSampling(t *testing.T) {
 }
 
 func TestCollectorUnsampledRequestUntraced(t *testing.T) {
-	c := NewCollector(0, 0, 0)
+	c := NewCollector(0, 0)
 	tr, _ := c.StartRequest(httptest.NewRequest("GET", "/", nil))
 	if tr != nil {
 		t.Fatal("rate 0 must not trace unsolicited requests")
 	}
-	cFull := NewCollector(1, 0, 0)
+	cFull := NewCollector(1, 0)
 	tr, parent := cFull.StartRequest(httptest.NewRequest("GET", "/", nil))
 	if tr == nil || parent != 0 {
 		t.Fatalf("rate 1 must trace: tr=%v parent=%d", tr, parent)
@@ -86,7 +86,7 @@ func TestCollectorUnsampledRequestUntraced(t *testing.T) {
 }
 
 func TestCollectorEviction(t *testing.T) {
-	c := NewCollector(1, 2, 0)
+	c := NewCollector(1, 2)
 	var ids []ID
 	for i := 0; i < 3; i++ {
 		r := httptest.NewRequest("GET", "/", nil)
@@ -107,7 +107,7 @@ func TestCollectorEviction(t *testing.T) {
 }
 
 func TestNewIDUnique(t *testing.T) {
-	c := NewCollector(1, 0, 0)
+	c := NewCollector(1, 0)
 	seen := map[ID]bool{}
 	for i := 0; i < 1000; i++ {
 		id := c.NewID()

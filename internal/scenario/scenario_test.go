@@ -201,6 +201,26 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateRejectsNaN: ParseSpec reads "NaN" as a float, and a
+// NaN range bound or probability compares false against every limit,
+// so Validate used to accept it. Such a spec could not round-trip
+// through Encode (NaN is not equal to itself), and the generator would
+// draw jitters and priorities from NaN. FuzzParseSpec found it.
+func TestSpecValidateRejectsNaN(t *testing.T) {
+	for _, key := range []string{
+		"known_jitter_min", "known_jitter_max", "id_shuffle_min", "id_shuffle_max",
+		"worst_stuffing_probability", "error_probability", "tdma_probability", "shallow_fifo_probability",
+	} {
+		spec, err := ParseSpec(strings.NewReader("count = 1\n" + key + " = NaN\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if err := spec.WithDefaults().Validate(); err == nil {
+			t.Errorf("%s = NaN accepted", key)
+		}
+	}
+}
+
 // hostileSpecs are spec files the generator could not run correctly,
 // or that cost one scenario without bound, keyed by the spec key whose
 // limit refuses them.

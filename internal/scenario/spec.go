@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -199,7 +200,7 @@ func (s Spec) Validate() error {
 		{"known-jitter", s.KnownJitterMin, s.KnownJitterMax, 0.01, 1},
 		{"id-shuffle", s.IDShuffleMin, s.IDShuffleMax, 0.01, 2},
 	} {
-		if fr.lo < fr.min || fr.hi > fr.max || fr.hi < fr.lo {
+		if math.IsNaN(fr.lo) || math.IsNaN(fr.hi) || fr.lo < fr.min || fr.hi > fr.max || fr.hi < fr.lo {
 			return fmt.Errorf("scenario: %s range [%g, %g] outside [%g, %g]",
 				fr.name, fr.lo, fr.hi, fr.min, fr.max)
 		}
@@ -213,6 +214,9 @@ func (s Spec) Validate() error {
 		{"tdma", s.TDMAProbability},
 		{"shallow-fifo", s.ShallowFIFOProbability},
 	} {
+		if math.IsNaN(p.v) {
+			return fmt.Errorf("scenario: %s probability is NaN", p.name)
+		}
 		if p.v > 1 {
 			return fmt.Errorf("scenario: %s probability %g exceeds 1", p.name, p.v)
 		}

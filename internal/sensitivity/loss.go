@@ -79,14 +79,21 @@ func MaxTolerableScale(k *kmatrix.KMatrix, message string, cfg SweepConfig, hi, 
 		return res.Schedulable, nil
 	}
 
-	ok0, err := okAt(0)
+	return bisect(okAt, hi, eps)
+}
+
+// bisect searches the largest x in [0, hi] with ok(x), to within eps,
+// for a predicate that holds up to some threshold and fails beyond it.
+// It returns -1 when ok(0) fails and hi when ok(hi) holds.
+func bisect(ok func(float64) (bool, error), hi, eps float64) (float64, error) {
+	ok0, err := ok(0)
 	if err != nil {
 		return 0, err
 	}
 	if !ok0 {
 		return -1, nil
 	}
-	okHi, err := okAt(hi)
+	okHi, err := ok(hi)
 	if err != nil {
 		return 0, err
 	}
@@ -96,11 +103,11 @@ func MaxTolerableScale(k *kmatrix.KMatrix, message string, cfg SweepConfig, hi, 
 	lo := 0.0
 	for hi-lo > eps {
 		mid := (lo + hi) / 2
-		ok, err := okAt(mid)
+		okMid, err := ok(mid)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
+		if okMid {
 			lo = mid
 		} else {
 			hi = mid

@@ -77,28 +77,6 @@ type Curve struct {
 	Points []Point
 }
 
-// WCRTAt returns the response time at the given scale, or Unschedulable
-// if the scale was not sampled.
-func (c *Curve) WCRTAt(scale float64) time.Duration {
-	for _, p := range c.Points {
-		if p.Scale == scale {
-			return p.WCRT
-		}
-	}
-	return rta.Unschedulable
-}
-
-// DelayAt returns the from-arrival delay at the given scale, or
-// Unschedulable if the scale was not sampled.
-func (c *Curve) DelayAt(scale float64) time.Duration {
-	for _, p := range c.Points {
-		if p.Scale == scale {
-			return p.Delay
-		}
-	}
-	return rta.Unschedulable
-}
-
 // Growth returns the relative growth of the from-arrival delay over the
 // sweep: (D_last - D_first) / D_first. This is the Figure 4 sensitivity
 // metric: robust messages have near-zero growth even though their

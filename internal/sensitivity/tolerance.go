@@ -44,34 +44,7 @@ func MessageJitterTolerance(k *kmatrix.KMatrix, message string, cfg SweepConfig,
 		return rep.AllSchedulable(), nil
 	}
 
-	ok0, err := okAt(0)
-	if err != nil {
-		return 0, err
-	}
-	if !ok0 {
-		return -1, nil
-	}
-	okHi, err := okAt(hi)
-	if err != nil {
-		return 0, err
-	}
-	if okHi {
-		return hi, nil
-	}
-	lo := 0.0
-	for hi-lo > eps {
-		mid := (lo + hi) / 2
-		ok, err := okAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	return bisect(okAt, hi, eps)
 }
 
 // Tolerance is one row of a tolerance table.

@@ -237,8 +237,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // campaignJob tracks one async campaign job, local or distributed.
-// Observers (status, SSE, long-poll) watch it through seq/watch: seq
-// increments on every observable change and watch is closed-and-
+// Observers (status snapshots, SSE streams) watch it through seq/watch:
+// seq increments on every observable change and watch is closed-and-
 // replaced, so any number of watchers wake without polling the job.
 type campaignJob struct {
 	id string
@@ -254,11 +254,15 @@ type campaignJob struct {
 	seq   uint64
 	watch chan struct{}
 
-	// Distributed-run bookkeeping, fed by coordinator events.
+	// Distributed-run bookkeeping of the current run: its shard and
+	// worker counts and its coordinator events, folded by stats and
+	// kept in a bounded ring for SSE watchers.
 	distributed bool
-	shards      ShardStatus
-	events      []distrib.Event // bounded ring of recent shard events
-	eventsBase  uint64          // absolute index of events[0]
+	shardTotal  int
+	workers     int
+	stats       distrib.Stats
+	events      []distrib.Event
+	eventsBase  uint64 // absolute index of events[0]
 }
 
 // maxJobEvents bounds the per-job shard event ring.
@@ -284,20 +288,13 @@ func (cj *campaignJob) watchCh() <-chan struct{} {
 	return cj.watch
 }
 
-// record folds one coordinator event into the job's shard bookkeeping
-// and wakes the watchers. It runs on the coordinator's dispatch path
-// (calls are serialised by distrib).
+// record folds one coordinator event into the job's statistics, keeps
+// it for SSE watchers and wakes them. It runs on the coordinator's
+// dispatch path (calls are serialised by distrib).
 func (cj *campaignJob) record(e distrib.Event) {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	switch e.Type {
-	case distrib.EventShardDone:
-		cj.shards.Done++
-	case distrib.EventShardFailed:
-		cj.shards.Failed++
-	case distrib.EventWorkerDropped:
-		cj.shards.DroppedWorkers++
-	}
+	cj.stats.Add(e)
 	cj.events = append(cj.events, e)
 	if len(cj.events) > maxJobEvents {
 		drop := len(cj.events) - maxJobEvents
@@ -360,39 +357,8 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	var seeds int
-	var duration time.Duration
-	if seeds, err = queryInt(r, "seeds", 0); err == nil {
-		if duration, err = queryDuration(r, "duration", 0); err == nil {
-			err = campaign.CheckSimulation(seeds, duration)
-		}
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if r.URL.Query().Get("quick") == "true" {
-		if sp.Count == 0 {
-			sp.Count = 64
-		}
-		if duration == 0 {
-			duration = 100 * time.Millisecond
-		}
-	}
-	// Cap the corpus before generating it — a hostile spec must not be
-	// able to commit the server to unbounded generation work.
-	effective := sp.Count
-	if effective == 0 {
-		effective = 500 // scenario.Generate's default
-	}
-	if s.cfg.MaxCampaignScenarios > 0 && effective > s.cfg.MaxCampaignScenarios {
-		writeErr(w, http.StatusBadRequest, CodeCorpusTooLarge,
-			"corpus of %d scenarios exceeds the %d-scenario cap", effective, s.cfg.MaxCampaignScenarios)
-		return
-	}
 	cfg := campaign.Config{
-		Workers: s.cfg.Workers, Seeds: seeds, Duration: duration,
-		MaxIterations: s.cfg.MaxIterations,
+		Workers: s.cfg.Workers,
 		// Local scenario runs stack their private LRUs on the server's
 		// shared disk/remote level; a distributed run strips Cache from
 		// the wire and each worker brings its own. Flight, like Cache,
@@ -400,6 +366,26 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 		// slowest scenarios for GET /v1/debug/slowest.
 		Cache:  s.shared.Store,
 		Flight: s.flight,
+	}
+	if cfg.Seeds, err = queryInt(r, "seeds", 0); err == nil {
+		if cfg.Duration, err = queryDuration(r, "duration", 0); err == nil {
+			err = campaign.CheckSimulation(cfg.Seeds, cfg.Duration)
+		}
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		return
+	}
+	if r.URL.Query().Get("quick") == "true" {
+		sp, cfg = campaign.Quick(sp, cfg)
+	}
+	// Cap the corpus before generating it — a hostile spec must not be
+	// able to commit the server to unbounded generation work.
+	effective := sp.WithDefaults().Count
+	if s.cfg.MaxCampaignScenarios > 0 && effective > s.cfg.MaxCampaignScenarios {
+		writeErr(w, http.StatusBadRequest, CodeCorpusTooLarge,
+			"corpus of %d scenarios exceeds the %d-scenario cap", effective, s.cfg.MaxCampaignScenarios)
+		return
 	}
 	// The job holds only the spec: scenarios are generated as they run,
 	// locally or per shard range on the workers, so the corpus is never
@@ -426,16 +412,17 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*campaignJob
 	return cj, true
 }
 
-// status assembles the job's wire snapshot plus the change sequence
-// number it corresponds to (for SSE/long-poll watchers).
-func (cj *campaignJob) status() (CampaignStatus, uint64) {
+// status assembles the job's wire snapshot.
+func (cj *campaignJob) status() CampaignStatus {
 	done, total := cj.job.Progress()
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	st := CampaignStatus{ID: cj.id, State: cj.state, Done: done, Total: total, Seq: cj.seq}
 	if cj.distributed {
-		sh := cj.shards
-		st.Shards = &sh
+		st.Shards = &ShardStatus{
+			Total: cj.shardTotal, Done: cj.stats.Shards, Failed: cj.stats.Retries,
+			Workers: cj.workers, DroppedWorkers: cj.stats.DroppedWorkers,
+		}
 	}
 	if cj.err != nil {
 		st.Error = cj.err.Error()
@@ -457,7 +444,7 @@ func (cj *campaignJob) status() (CampaignStatus, uint64) {
 			FlippedSchedulable:   rep.FlippedSchedulable,
 		}
 	}
-	return st, cj.seq
+	return st
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
@@ -465,8 +452,7 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, _ := cj.status()
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, cj.status())
 }
 
 func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {

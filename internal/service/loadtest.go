@@ -677,7 +677,6 @@ func drainPhase(srv *Server, lt *ltRunner, cfg LoadTestConfig) (bool, string) {
 	sc := cfg.serverConfig().withDefaults()
 	ref, err := campaign.Run(sp, campaign.Config{
 		Workers: sc.Workers, Seeds: 1, Duration: 50 * time.Millisecond,
-		MaxIterations: sc.MaxIterations,
 	})
 	if err != nil {
 		return false, fmt.Sprintf("reference run: %v", err)

@@ -36,9 +36,6 @@ type Config struct {
 	Workers int
 	// MaxBodyBytes caps uploaded specs and change scripts (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxIterations bounds the compositional fixpoint (<= 0 selects
-	// core.DefaultMaxIterations).
-	MaxIterations int
 
 	// MaxClients bounds the requests executing concurrently (the worker
 	// slots; 0 selects 2x GOMAXPROCS).
@@ -153,8 +150,12 @@ type Server struct {
 	worker    *distrib.Worker
 	collector *obs.Collector
 	flight    *obs.FlightRecorder // nil when FlightSlowest < 0
-	shardObs  shardCounters
 	mux       *http.ServeMux
+
+	// shardStats folds the coordinator events of every distributed
+	// campaign job for the symtago_shard_* families.
+	shardMu    sync.Mutex
+	shardStats distrib.Stats
 
 	ctx    context.Context // parent of all campaign jobs
 	cancel context.CancelFunc
@@ -198,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		metrics:   newMetrics(),
 		adm:       newAdmission(cfg.MaxClients, cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
 		worker:    distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: shared.Store}),
-		collector: obs.NewCollector(cfg.TraceSample, cfg.TraceBuffer, 0),
+		collector: obs.NewCollector(cfg.TraceSample, cfg.TraceBuffer),
 		flight:    flight,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -228,9 +229,9 @@ func New(cfg Config) (*Server, error) {
 	route("POST /v1/sessions/{id}/changes", s.handleSessionChanges)
 	route("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	route("POST /v1/campaigns", s.handleCampaignCreate)
-	// Status dispatches on the request: SSE and long-poll variants wait
-	// server-side and bypass admission (a watcher must not hold a worker
-	// slot or be killed by the request deadline); the plain JSON
+	// Status dispatches on the request: the SSE stream waits
+	// server-side and bypasses admission (a watcher must not hold a
+	// worker slot or be killed by the request deadline); the plain JSON
 	// snapshot is admitted like any application request.
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.instrument("GET /v1/campaigns/{id}",
 		s.dispatchCampaignStatus))
@@ -259,9 +260,6 @@ func (s *Server) Close() {
 // StartDraining flips the admission gate: every subsequent application
 // request is answered 503/draining while operational routes stay up.
 func (s *Server) StartDraining() { s.adm.draining.Store(true) }
-
-// Draining reports whether the admission gate is closed.
-func (s *Server) Draining() bool { return s.adm.draining.Load() }
 
 // Drain performs the graceful-shutdown protocol: stop admitting, let
 // running campaign jobs finish until ctx expires, then cancel the
@@ -409,7 +407,9 @@ func (s *Server) registerJob(job *campaign.Job, tr *obs.Trace, parent uint64) *c
 		cj.distributed = true
 		cj.run = func(ctx context.Context) (*campaign.Report, error) {
 			cj.mu.Lock()
-			cj.shards = ShardStatus{Total: len(job.PendingRanges(s.cfg.ShardSize)), Workers: len(s.cfg.WorkerAddrs)}
+			cj.shardTotal = len(job.PendingRanges(s.cfg.ShardSize))
+			cj.workers = len(s.cfg.WorkerAddrs)
+			cj.stats = distrib.Stats{}
 			cj.bump()
 			cj.mu.Unlock()
 			rep, _, err := distrib.RunStats(traced(ctx), job, distrib.Options{
@@ -417,7 +417,9 @@ func (s *Server) registerJob(job *campaign.Job, tr *obs.Trace, parent uint64) *c
 				ShardSize:    s.cfg.ShardSize,
 				ShardTimeout: s.cfg.ShardTimeout,
 				OnEvent: func(e distrib.Event) {
-					s.shardObs.observe(e)
+					s.shardMu.Lock()
+					s.shardStats.Add(e)
+					s.shardMu.Unlock()
 					cj.record(e)
 				},
 			})

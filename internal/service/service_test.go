@@ -396,6 +396,12 @@ func TestCampaignLifecycle(t *testing.T) {
 	if st.Summary.Violations != 0 {
 		t.Fatalf("campaign violations: %+v", st.Summary)
 	}
+	// The status has one way to wait, the SSE stream: a ?wait= query
+	// gets the plain snapshot.
+	if status, waited := do(t, "GET", base+"/v1/campaigns/"+started.ID+"?wait=bogus", ""); status != http.StatusOK ||
+		!bytes.Equal(waited, body) {
+		t.Fatalf("status with ?wait=: %d %s, want the snapshot %s", status, waited, body)
+	}
 
 	status, rep := do(t, "GET", base+"/v1/campaigns/"+started.ID+"/report", "")
 	if status != http.StatusOK || !strings.Contains(string(rep), "Campaign — 6 scenarios") {

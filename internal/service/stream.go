@@ -4,13 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 )
-
-// maxLongPollWait caps how long a single long-poll request may park.
-const maxLongPollWait = 2 * time.Minute
 
 // progressPollInterval is the fallback re-check period for progress
 // that does not bump the job's change sequence (per-row completions of
@@ -19,76 +15,17 @@ const maxLongPollWait = 2 * time.Minute
 const progressPollInterval = 150 * time.Millisecond
 
 // dispatchCampaignStatus routes GET /v1/campaigns/{id} by request
-// shape: "Accept: text/event-stream" opens an SSE stream, "?wait=" is
-// a long-poll, anything else is the admitted JSON snapshot. The two
-// waiting variants bypass admission deliberately — a watcher parked
-// for seconds must not pin a worker slot or trip the request deadline;
-// they are read-only and bounded, so they cannot starve the service.
+// shape: "Accept: text/event-stream" opens an SSE stream, anything
+// else is the admitted JSON snapshot. The stream bypasses admission
+// deliberately — a watcher parked for minutes must not pin a worker
+// slot or trip the request deadline; it is read-only and ends with the
+// job, so it cannot starve the service.
 func (s *Server) dispatchCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.handleCampaignStream(w, r)
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
-		s.handleCampaignLongPoll(w, r)
-		return
-	}
 	s.admitted(s.handleCampaignStatus)(w, r)
-}
-
-// handleCampaignLongPoll answers when the campaign's observable state
-// (progress, state, shard bookkeeping) changes from what this request
-// observed on arrival — or when the wait budget expires, whichever is
-// first. Clients that track `seq` can pass ?since=<seq> to return
-// immediately on anything newer.
-func (s *Server) handleCampaignLongPoll(w http.ResponseWriter, r *http.Request) {
-	cj, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	wait, err := queryDuration(r, "wait", 0)
-	if err != nil || wait <= 0 {
-		if err == nil {
-			err = fmt.Errorf("query wait: must be a positive duration")
-		}
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if wait > maxLongPollWait {
-		wait = maxLongPollWait
-	}
-	entry, entrySeq := cj.status()
-	since := entrySeq
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, perr := strconv.ParseUint(v, 10, 64)
-		if perr != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "query since: %v", perr)
-			return
-		}
-		since = n
-	}
-
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	ticker := time.NewTicker(progressPollInterval)
-	defer ticker.Stop()
-	for {
-		ch := cj.watchCh()
-		st, seq := cj.status()
-		if seq > since || st.Done != entry.Done || st.State != entry.State || st.State != "running" {
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-deadline.C:
-			writeJSON(w, http.StatusOK, st)
-			return
-		case <-ch:
-		case <-ticker.C:
-		}
-	}
 }
 
 // handleCampaignStream serves the campaign as a server-sent event
@@ -125,7 +62,7 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
 		for i := range events {
 			writeSSE(w, "shard", &events[i])
 		}
-		st, _ := cj.status()
+		st := cj.status()
 		// Seq covers every bumped change (state transitions, shard
 		// bookkeeping); Done covers per-row progress of local runs,
 		// which the campaign job records without bumping.

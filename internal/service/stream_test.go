@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,46 +58,6 @@ func campaignReport(t *testing.T, base, id string) string {
 		t.Fatalf("report: status %d: %s", status, data)
 	}
 	return string(data)
-}
-
-// TestCampaignLongPoll parks a long-poll on a running campaign and
-// checks it answers with a terminal snapshot once the job finishes,
-// and that a malformed wait is rejected.
-func TestCampaignLongPoll(t *testing.T) {
-	_, base := newTestServer(t)
-	id := startCampaign(t, base, "seed = 3\ncount = 4\n")
-
-	status, data := do(t, "GET", base+"/v1/campaigns/"+id+"?wait=10s", "")
-	if status != http.StatusOK {
-		t.Fatalf("long-poll: status %d: %s", status, data)
-	}
-	var st CampaignStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	// The poll may return on any observable change; follow the seq until
-	// the terminal state.
-	deadline := time.Now().Add(30 * time.Second)
-	for st.State == "running" {
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign still running after 30s")
-		}
-		status, data = do(t, "GET",
-			fmt.Sprintf("%s/v1/campaigns/%s?wait=10s&since=%d", base, id, st.Seq), "")
-		if status != http.StatusOK {
-			t.Fatalf("long-poll: status %d: %s", status, data)
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-	}
-	if st.State != "done" || st.Summary == nil {
-		t.Fatalf("terminal snapshot: state %q summary %v", st.State, st.Summary)
-	}
-
-	if status, data = do(t, "GET", base+"/v1/campaigns/"+id+"?wait=bogus", ""); status != http.StatusBadRequest {
-		t.Fatalf("bad wait: status %d: %s", status, data)
-	}
 }
 
 // TestCampaignStream opens the SSE variant and checks the stream emits
@@ -226,6 +185,53 @@ func TestDistributedCampaignOverService(t *testing.T) {
 	if w1.worker.ShardsServed()+w2.worker.ShardsServed() != 4 {
 		t.Fatalf("workers served %d+%d shards, want 4 total",
 			w1.worker.ShardsServed(), w2.worker.ShardsServed())
+	}
+
+	// The coordinator's /metrics fold the same events as the status.
+	body := scrape(t, hc.URL)
+	done := sample(t, body, "symtago_shard_done_total")
+	failed := sample(t, body, "symtago_shard_failed_total")
+	inflight := sample(t, body, "symtago_shard_inflight")
+	dispatched := sample(t, body, "symtago_shard_dispatch_total")
+	if done != float64(last.Shards.Done) || dispatched != done+failed+inflight || inflight != 0 {
+		t.Fatalf("shard metrics: %v dispatched, %v done, %v failed, %v in flight; status %+v",
+			dispatched, done, failed, inflight, last.Shards)
+	}
+}
+
+// TestShardMetricsAcrossJobs runs two distributed campaigns at once on
+// one coordinator: the server-wide shard families fold both jobs'
+// events, each job's status only its own.
+func TestShardMetricsAcrossJobs(t *testing.T) {
+	w := mustServer(t, Config{Workers: 1})
+	hw := httptest.NewServer(w.Handler())
+	t.Cleanup(func() { hw.Close(); w.Close() })
+	coord := mustServer(t, Config{Workers: 1, WorkerAddrs: []string{hw.URL, hw.URL}, ShardSize: 2})
+	hc := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { hc.Close(); coord.Close() })
+
+	ids := []string{startCampaign(t, hc.URL, "seed = 9\ncount = 4\n"), startCampaign(t, hc.URL, "seed = 10\ncount = 6\n")}
+	scrape(t, hc.URL) // reads the fold while both jobs write it (for -race)
+	shards := 0
+	for _, id := range ids {
+		campaignReport(t, hc.URL, id)
+		_, data := do(t, "GET", hc.URL+"/v1/campaigns/"+id, "")
+		var st CampaignStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Shards == nil || st.Shards.Done != st.Shards.Total {
+			t.Fatalf("campaign %s shards: %+v", id, st.Shards)
+		}
+		shards += st.Shards.Done
+	}
+	body := scrape(t, hc.URL)
+	done := sample(t, body, "symtago_shard_done_total")
+	dispatched := sample(t, body, "symtago_shard_dispatch_total")
+	failed := sample(t, body, "symtago_shard_failed_total")
+	if done != 5 || shards != 5 || dispatched != done+failed || sample(t, body, "symtago_shard_inflight") != 0 {
+		t.Fatalf("shard metrics: %v dispatched, %v done, %v failed over jobs with %d shards done",
+			dispatched, done, failed, shards)
 	}
 }
 

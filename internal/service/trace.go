@@ -2,12 +2,10 @@ package service
 
 import (
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/obs"
 	"repro/internal/whatif"
 )
@@ -54,14 +52,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) analyze(r *http.Request, sess *whatif.SystemSession) (*core.Analysis, error) {
 	tr := obs.TraceFrom(r.Context())
 	if tr == nil {
-		return sess.Analyze(s.cfg.MaxIterations)
+		return sess.Analyze(core.DefaultMaxIterations)
 	}
 	before := sess.Stats()
 	var remote cache.RemoteStats
 	if s.shared.Remote != nil {
 		remote = s.shared.Remote.RemoteStats()
 	}
-	a, err := sess.Analyze(s.cfg.MaxIterations)
+	a, err := sess.Analyze(core.DefaultMaxIterations)
 	after := sess.Stats()
 	parent := obs.SpanIDFrom(r.Context())
 	obs.RecordCache(tr, parent, after.Hits+after.ReportHits-before.Hits-before.ReportHits,
@@ -70,44 +68,6 @@ func (s *Server) analyze(r *http.Request, sess *whatif.SystemSession) (*core.Ana
 		obs.RecordRemote(tr, parent, remote, s.shared.Remote.RemoteStats())
 	}
 	return a, err
-}
-
-// shardCounters aggregates coordinator-side shard events across all
-// distributed campaign jobs, for the Prometheus exposition.
-type shardCounters struct {
-	dispatched     atomic.Uint64
-	done           atomic.Uint64
-	failed         atomic.Uint64
-	retries        atomic.Uint64
-	droppedWorkers atomic.Uint64
-	latencyNS      atomic.Uint64 // summed latency of completed shards
-	wireBytes      atomic.Uint64 // shard response bodies as they travelled
-	inflight       atomic.Int64  // dispatched minus settled (at most one per live worker)
-}
-
-func (c *shardCounters) observe(e distrib.Event) {
-	switch e.Type {
-	case distrib.EventDispatch:
-		c.dispatched.Add(1)
-		c.inflight.Add(1)
-		if e.Attempt > 1 {
-			c.retries.Add(1)
-		}
-	case distrib.EventShardDone:
-		c.done.Add(1)
-		c.inflight.Add(-1)
-		if e.ElapsedNS > 0 {
-			c.latencyNS.Add(uint64(e.ElapsedNS))
-		}
-		if e.Bytes > 0 {
-			c.wireBytes.Add(uint64(e.Bytes))
-		}
-	case distrib.EventShardFailed:
-		c.failed.Add(1)
-		c.inflight.Add(-1)
-	case distrib.EventWorkerDropped:
-		c.droppedWorkers.Add(1)
-	}
 }
 
 // handleTrace serves GET /v1/trace/{id}: the retained trace as Chrome
@@ -247,22 +207,25 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("symtago_session_cache_misses_total", "counter", "Session memo misses.")
 	p.Uint("symtago_session_cache_misses_total", nil, reg.Sessions.Misses)
 
+	s.shardMu.Lock()
+	sh := s.shardStats
+	s.shardMu.Unlock()
 	p.Family("symtago_shard_dispatch_total", "counter", "Shard attempts dispatched to workers (coordinator side).")
-	p.Uint("symtago_shard_dispatch_total", nil, s.shardObs.dispatched.Load())
+	p.Uint("symtago_shard_dispatch_total", nil, uint64(sh.Dispatched))
 	p.Family("symtago_shard_done_total", "counter", "Shards completed and folded (coordinator side).")
-	p.Uint("symtago_shard_done_total", nil, s.shardObs.done.Load())
+	p.Uint("symtago_shard_done_total", nil, uint64(sh.Shards))
 	p.Family("symtago_shard_failed_total", "counter", "Shard attempts failed (coordinator side).")
-	p.Uint("symtago_shard_failed_total", nil, s.shardObs.failed.Load())
+	p.Uint("symtago_shard_failed_total", nil, uint64(sh.Retries))
 	p.Family("symtago_shard_retries_total", "counter", "Shard attempts beyond the first (coordinator side).")
-	p.Uint("symtago_shard_retries_total", nil, s.shardObs.retries.Load())
+	p.Uint("symtago_shard_retries_total", nil, uint64(sh.Redispatched))
 	p.Family("symtago_shard_dropped_workers_total", "counter", "Workers retired after consecutive failures.")
-	p.Uint("symtago_shard_dropped_workers_total", nil, s.shardObs.droppedWorkers.Load())
+	p.Uint("symtago_shard_dropped_workers_total", nil, uint64(sh.DroppedWorkers))
 	p.Family("symtago_shard_latency_seconds_sum", "counter", "Summed latency of completed shards.")
-	p.Value("symtago_shard_latency_seconds_sum", nil, float64(s.shardObs.latencyNS.Load())/1e9)
+	p.Value("symtago_shard_latency_seconds_sum", nil, float64(sh.Latency)/1e9)
 	p.Family("symtago_shard_wire_bytes_total", "counter", "Shard response bytes as they travelled (post-compression, coordinator side).")
-	p.Uint("symtago_shard_wire_bytes_total", nil, s.shardObs.wireBytes.Load())
+	p.Uint("symtago_shard_wire_bytes_total", nil, uint64(sh.BytesOnWire))
 	p.Family("symtago_shard_inflight", "gauge", "Shards currently in flight, at most one per live worker.")
-	p.Value("symtago_shard_inflight", nil, float64(s.shardObs.inflight.Load()))
+	p.Value("symtago_shard_inflight", nil, float64(sh.InFlight()))
 	p.Family("symtago_worker_shards_served_total", "counter", "Shards computed by this process's worker endpoint.")
 	p.Uint("symtago_worker_shards_served_total", nil, s.worker.ShardsServed())
 	p.Family("symtago_worker_rows_served_total", "counter", "Rows computed by this process's worker endpoint.")

@@ -230,8 +230,9 @@ type CampaignStatus struct {
 	State string `json:"state"` // running | done | failed | cancelled
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
-	// Seq is the job's change sequence number; pass it back as
-	// ?since=<seq> on a long-poll to wait for anything newer.
+	// Seq is the job's change sequence number: it rises on every state
+	// transition and coordinator event, each of which the SSE stream
+	// sends as it happens.
 	Seq     uint64           `json:"seq"`
 	Shards  *ShardStatus     `json:"shards,omitempty"`
 	Error   string           `json:"error,omitempty"`

@@ -3,6 +3,7 @@ package whatif
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,4 +59,34 @@ func FuzzParseSystemScript(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScriptLineLimit pins the longest line both dialects read:
+// bufio.Scanner's token limit, newline included. One byte more fails
+// the whole script with the scanner's read error.
+func TestScriptLineLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		prefix, suffix string
+		parse          func(string) (int, error)
+	}{
+		{"bus", "set-jitter ", " 1ms\n", func(s string) (int, error) {
+			changes, err := ParseScript(strings.NewReader(s))
+			return len(changes), err
+		}},
+		{"system", "set-event-jitter busA/", " 150us\n", func(s string) (int, error) {
+			changes, err := ParseSystemScript(strings.NewReader(s))
+			return len(changes), err
+		}},
+	} {
+		name := bufio.MaxScanTokenSize - len(tc.prefix) - len(tc.suffix)
+		at := tc.prefix + strings.Repeat("M", name) + tc.suffix
+		if n, err := tc.parse(at); err != nil || n != 1 {
+			t.Errorf("%s: %d-byte line: %d changes, %v; want 1 change", tc.name, len(at), n, err)
+		}
+		past := tc.prefix + strings.Repeat("M", name+1) + tc.suffix
+		if _, err := tc.parse(past); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: %d-byte line: %v, want %v", tc.name, len(past), err, bufio.ErrTooLong)
+		}
+	}
 }
