@@ -552,6 +552,41 @@ func BenchmarkAnalyzeCase88(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeOverloaded analyses one generated 140-message
+// power-train bus at about 1.2 worst-case load, so the busy periods of
+// its lower ranks cannot converge, without errors and under the
+// worst-case burst model. Those ranks are where the kernel settles a
+// level without iterating (the load and rank rules); on
+// BenchmarkAnalyzeCase88's bus, at 0.72 load, no level is overloaded.
+func BenchmarkAnalyzeOverloaded(b *testing.B) {
+	k := kmatrix.Powertrain(kmatrix.GenConfig{Seed: experiments.CaseStudySeed, Messages: 140})
+	msgs := k.ToRTA()
+	for _, bc := range []struct {
+		name string
+		errs errormodel.Model
+	}{{"none", nil}, {"burst", experiments.WorstBurst()}} {
+		cfg := experiments.WorstCaseAnalysis()
+		cfg.Bus = k.Bus()
+		cfg.Errors = bc.errs
+		b.Run(bc.name, func(b *testing.B) {
+			rep, err := rta.Analyze(msgs, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Utilization <= 1 || rep.Results[0].BusyPeriod == rta.Unschedulable {
+				b.Fatalf("utilisation %.3f, rank 0 busy period %v: want an overloaded bus whose top converges",
+					rep.Utilization, rep.Results[0].BusyPeriod)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rta.Analyze(msgs, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTDMABacklog measures the TDMA backlog search on its two
 // expensive shapes: an over-rate stream (period below the cycle, no
 // depth ever drains) and a long burst (a jitter of a minute at 0.5ms

@@ -82,11 +82,14 @@ func cmdAnalyze(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	if !(*scale >= 0) {
+		return badValue("analyze", "jitter-scale", *scale, "a scale of 0 or more")
+	}
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}
@@ -168,11 +171,11 @@ func cmdLoss(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}
@@ -209,6 +212,9 @@ func cmdOptimize(args []string) error {
 	out := fs.String("out", "", "write the optimized K-Matrix CSV here")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *generations < 0 {
+		return badValue("optimize", "generations", *generations, "0 (the default) or more")
 	}
 	k, err := loadMatrix(*path)
 	if err != nil {
@@ -252,11 +258,14 @@ func cmdSimulate(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	if *duration <= 0 {
+		return badValue("simulate", "duration", *duration, "a positive span")
+	}
+	ctrl, err := parseController(*controller)
 	if err != nil {
 		return err
 	}
-	ctrl, err := parseController(*controller)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}
@@ -316,6 +325,12 @@ func cmdValidate(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *seeds <= 0 {
+		return badValue("validate", "seeds", *seeds, "a positive count")
+	}
+	if *duration <= 0 {
+		return badValue("validate", "duration", *duration, "a positive span")
+	}
 	ctrl, err := parseController(*controller)
 	if err != nil {
 		return err
@@ -326,7 +341,9 @@ func cmdValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(mc.Render())
+	if _, err := fmt.Println(mc.Render()); err != nil {
+		return err
+	}
 	if ctrl == sim.FullCAN && mc.Violations > 0 {
 		return fmt.Errorf("%d observed responses exceeded analytic bounds", mc.Violations)
 	}
@@ -346,6 +363,9 @@ func cmdNetsim(args []string) error {
 	}
 	if *seeds <= 0 {
 		return usageErrf("netsim: -seeds must be positive, got %d", *seeds)
+	}
+	if *duration <= 0 {
+		return badValue("netsim", "duration", *duration, "a positive span")
 	}
 	nv, traces, err := experiments.RunNetworkValidation(experiments.NetworkValidationParams{
 		Seeds: *seeds, Duration: *duration, Workers: *workers,

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/can"
 	"repro/internal/kmatrix"
 	"repro/internal/report"
 	"repro/internal/sensitivity"
@@ -19,7 +20,7 @@ import (
 //	symtago contract check        -datasheet ds.json -spec spec.json
 func cmdContract(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("contract needs a subcommand: requirements, guarantees or check")
+		return usageErrf("contract needs a subcommand: requirements, guarantees or check")
 	}
 	switch args[0] {
 	case "requirements":
@@ -29,7 +30,7 @@ func cmdContract(args []string) error {
 	case "check":
 		return contractCheck(args[1:])
 	default:
-		return fmt.Errorf("unknown contract subcommand %q", args[0])
+		return usageErrf("unknown contract subcommand %q", args[0])
 	}
 }
 
@@ -40,6 +41,9 @@ func contractRequirements(args []string) error {
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if !(*scale >= 0) {
+		return badValue("contract requirements", "scale", *scale, "a scale of 0 or more")
 	}
 	k, err := loadMatrix(*path)
 	if err != nil {
@@ -57,11 +61,11 @@ func contractGuarantees(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}
@@ -80,7 +84,7 @@ func contractCheck(args []string) error {
 		return err
 	}
 	if *dsPath == "" || *specPath == "" {
-		return fmt.Errorf("contract check needs -datasheet and -spec")
+		return usageErrf("contract check needs -datasheet and -spec")
 	}
 	dsFile, err := os.Open(*dsPath)
 	if err != nil {
@@ -137,11 +141,17 @@ func cmdTolerance(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	if !(*operating >= 0) {
+		return badValue("tolerance", "operating", *operating, "a scale of 0 or more")
+	}
+	if *top < 0 {
+		return badValue("tolerance", "top", *top, "0 (all) or more")
+	}
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}
@@ -181,11 +191,21 @@ func cmdExtend(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	switch {
+	case !(*operating >= 0):
+		return badValue("extend", "operating", *operating, "a scale of 0 or more")
+	case *period <= 0:
+		return badValue("extend", "period", *period, "a positive period")
+	case *dlc < 0 || *dlc > can.MaxPayload:
+		return badValue("extend", "dlc", *dlc, fmt.Sprintf("a payload length of 0 to %d", can.MaxPayload))
+	case *max < 1:
+		return badValue("extend", "max", *max, "a positive budget")
+	}
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}

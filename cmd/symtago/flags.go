@@ -43,6 +43,12 @@ func checkShard(cmd string, n int) error {
 	return nil
 }
 
+// badValue reports a flag value outside its documented range as a
+// usage error; commands check their values before doing any work.
+func badValue(cmd, name string, v any, want string) error {
+	return usageErrf("%s: -%s %v: want %s", cmd, name, v, want)
+}
+
 // remoteCacheFlag registers the uniform -remote-cache flag.
 func remoteCacheFlag(fs *flag.FlagSet) *string {
 	return fs.String("remote-cache", "", "cacheserver base URL for the fleet-shared result tier (empty = off)")

@@ -77,9 +77,11 @@ func TestCacheServerRequiresCacheDir(t *testing.T) {
 }
 
 // TestExitCodeContract table-tests docs/cli.md's exit codes: unknown
-// flags and out-of-range values are usage errors (exit 2), a spec file
-// that cannot be read is a runtime failure (exit 1). None of these
-// cases gets as far as running anything.
+// flags, unknown commands and out-of-range values are usage errors
+// (exit 2), checked before any work starts; a file that cannot be read
+// and output that cannot be written are runtime failures (exit 1).
+// Every subcommand has at least one case of each kind apart from
+// serve, worker and cacheserver, whose runtime failures need a network.
 func TestExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "no-such-spec.toml")
@@ -92,26 +94,72 @@ func TestExitCodeContract(t *testing.T) {
 	}
 	tooManyChanges := specFile("changes.toml", "max_changes = 2000000\n")
 	emptyMessages := specFile("messages.toml", "min_messages = 9\nmax_messages = 5\n")
+	emptyScript := specFile("empty.script", "# no changes\n")
+	overflowing := specFile("overflow.csv", "#bus,pt,500000\n"+
+		"name,id,format,dlc,period_us,jitter_us,jitter_known,deadline_us,sender,receivers\n"+
+		"A,0x1,standard,8,18446744073709552,0,false,0,ECU1,\n")
 	for _, tc := range []struct {
 		name  string
 		run   func([]string) error
 		args  []string
 		usage bool
+		// unwritable runs the case with an os.Stdout that fails every
+		// write.
+		unwritable bool
 	}{
-		{"campaign removed -pipeline-depth", cmdCampaign, []string{"-pipeline-depth", "2"}, true},
-		{"serve removed -pipeline-depth", cmdServe, []string{"-pipeline-depth", "2"}, true},
-		{"campaign oversized -shard", cmdCampaign, []string{"-shard", "4097"}, true},
-		{"serve oversized -shard", cmdServe, []string{"-shard", "4097"}, true},
-		{"campaign negative -n", cmdCampaign, []string{"-n", "-1"}, true},
-		{"worker unknown flag", cmdWorker, []string{"-no-such-flag"}, true},
-		{"campaign -spec max_changes beyond its limit", cmdCampaign, []string{"-spec", tooManyChanges}, true},
-		{"campaign -spec empty message range", cmdCampaign, []string{"-spec", emptyMessages}, true},
-		{"simulate unknown -controller", cmdSimulate, []string{"-controller", "bogus"}, true},
-		{"netsim zero -seeds", cmdNetsim, []string{"-seeds", "0"}, true},
-		{"campaign missing -spec file", cmdCampaign, []string{"-spec", missing}, false},
-		{"simulate missing -kmatrix file", cmdSimulate, []string{"-kmatrix", missing}, false},
+		{name: "campaign removed -pipeline-depth", run: cmdCampaign, args: []string{"-pipeline-depth", "2"}, usage: true},
+		{name: "serve removed -pipeline-depth", run: cmdServe, args: []string{"-pipeline-depth", "2"}, usage: true},
+		{name: "campaign oversized -shard", run: cmdCampaign, args: []string{"-shard", "4097"}, usage: true},
+		{name: "serve oversized -shard", run: cmdServe, args: []string{"-shard", "4097"}, usage: true},
+		{name: "campaign negative -n", run: cmdCampaign, args: []string{"-n", "-1"}, usage: true},
+		{name: "worker unknown flag", run: cmdWorker, args: []string{"-no-such-flag"}, usage: true},
+		{name: "campaign -spec max_changes beyond its limit", run: cmdCampaign, args: []string{"-spec", tooManyChanges}, usage: true},
+		{name: "campaign -spec empty message range", run: cmdCampaign, args: []string{"-spec", emptyMessages}, usage: true},
+		{name: "simulate unknown -controller", run: cmdSimulate, args: []string{"-controller", "bogus"}, usage: true},
+		{name: "simulate negative -duration", run: cmdSimulate, args: []string{"-duration", "-1s"}, usage: true},
+		{name: "netsim zero -seeds", run: cmdNetsim, args: []string{"-seeds", "0"}, usage: true},
+		{name: "netsim zero -duration", run: cmdNetsim, args: []string{"-duration", "0s"}, usage: true},
+		{name: "figures unknown -fig", run: cmdFigures, args: []string{"-fig", "7"}, usage: true},
+		{name: "load unexpected argument", run: cmdLoad, args: []string{"extra"}, usage: true},
+		{name: "analyze negative -jitter-scale", run: cmdAnalyze, args: []string{"-jitter-scale", "-1"}, usage: true},
+		{name: "analyze NaN -jitter-scale", run: cmdAnalyze, args: []string{"-jitter-scale", "NaN"}, usage: true},
+		{name: "sensitivity unknown flag", run: cmdSensitivity, args: []string{"-scenario", "best"}, usage: true},
+		{name: "loss unknown -scenario", run: cmdLoss, args: []string{"-scenario", "bogus"}, usage: true},
+		{name: "optimize negative -generations", run: cmdOptimize, args: []string{"-generations", "-1"}, usage: true},
+		{name: "validate zero -seeds", run: cmdValidate, args: []string{"-seeds", "0"}, usage: true},
+		{name: "validate negative -duration", run: cmdValidate, args: []string{"-duration", "-1s"}, usage: true},
+		{name: "contract without subcommand", run: cmdContract, usage: true},
+		{name: "contract unknown subcommand", run: cmdContract, args: []string{"bogus"}, usage: true},
+		{name: "contract check without files", run: cmdContract, args: []string{"check"}, usage: true},
+		{name: "contract requirements negative -scale", run: cmdContract, args: []string{"requirements", "-scale", "-0.5"}, usage: true},
+		{name: "whatif unknown -scenario", run: cmdWhatIf, args: []string{"-scenario", "bogus"}, usage: true},
+		{name: "whatif empty script", run: cmdWhatIf, args: []string{"-script", emptyScript}, usage: true},
+		{name: "tolerance negative -top", run: cmdTolerance, args: []string{"-top", "-5"}, usage: true},
+		{name: "tolerance negative -operating", run: cmdTolerance, args: []string{"-operating", "-1"}, usage: true},
+		{name: "extend negative -operating", run: cmdExtend, args: []string{"-operating", "-2"}, usage: true},
+		{name: "extend negative -period", run: cmdExtend, args: []string{"-period", "-1ms"}, usage: true},
+		{name: "extend -dlc 9", run: cmdExtend, args: []string{"-dlc", "9"}, usage: true},
+		{name: "extend zero -max", run: cmdExtend, args: []string{"-max", "0"}, usage: true},
+		{name: "campaign missing -spec file", run: cmdCampaign, args: []string{"-spec", missing}},
+		{name: "simulate missing -kmatrix file", run: cmdSimulate, args: []string{"-kmatrix", missing}},
+		{name: "figures unwritable -csv output", run: cmdFigures, args: []string{"-fig", "4", "-csv"}, unwritable: true},
+		{name: "load missing -kmatrix file", run: cmdLoad, args: []string{"-kmatrix", missing}},
+		{name: "analyze overflowing -kmatrix period", run: cmdAnalyze, args: []string{"-kmatrix", overflowing}},
+		{name: "sensitivity missing -kmatrix file", run: cmdSensitivity, args: []string{"-kmatrix", missing}},
+		{name: "loss missing -kmatrix file", run: cmdLoss, args: []string{"-kmatrix", missing}},
+		{name: "optimize missing -kmatrix file", run: cmdOptimize, args: []string{"-kmatrix", missing}},
+		{name: "validate unwritable output", run: cmdValidate, args: []string{"-seeds", "1", "-duration", "10ms"}, unwritable: true},
+		{name: "contract check missing files", run: cmdContract, args: []string{"check", "-datasheet", missing, "-spec", missing}},
+		{name: "whatif missing -script file", run: cmdWhatIf, args: []string{"-script", missing}},
+		{name: "tolerance missing -kmatrix file", run: cmdTolerance, args: []string{"-kmatrix", missing}},
+		{name: "extend missing -kmatrix file", run: cmdExtend, args: []string{"-kmatrix", missing}},
 	} {
-		err := tc.run(tc.args)
+		var err error
+		if tc.unwritable {
+			err = withUnwritableStdout(t, func() error { return tc.run(tc.args) })
+		} else {
+			err = tc.run(tc.args)
+		}
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
 			continue
@@ -120,4 +168,19 @@ func TestExitCodeContract(t *testing.T) {
 			t.Errorf("%s: isUsageError(%v) = %t, want %t", tc.name, err, !tc.usage, tc.usage)
 		}
 	}
+}
+
+// withUnwritableStdout runs fn with os.Stdout open read-only, so every
+// write to it fails.
+func withUnwritableStdout(t *testing.T, fn func() error) error {
+	t.Helper()
+	f, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	return fn()
 }

@@ -27,11 +27,11 @@ func cmdWhatIf(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	k, err := loadMatrix(*path)
+	cfg, err := scenarioConfig(*scenario)
 	if err != nil {
 		return err
 	}
-	cfg, err := scenarioConfig(*scenario)
+	k, err := loadMatrix(*path)
 	if err != nil {
 		return err
 	}

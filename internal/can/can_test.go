@@ -53,6 +53,7 @@ func TestFrameValidate(t *testing.T) {
 		{"DLC negative", Frame{ID: 1, Format: Standard11Bit, DLC: -1}, true},
 		{"standard ID overflow", Frame{ID: 0x800, Format: Standard11Bit, DLC: 0}, true},
 		{"extended ID overflow", Frame{ID: 0x20000000, Format: Extended29Bit, DLC: 0}, true},
+		{"unknown format", Frame{ID: 1, Format: 2, DLC: 0}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

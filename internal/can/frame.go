@@ -40,6 +40,9 @@ func (f Frame) Validate() error {
 	if f.DLC < 0 || f.DLC > MaxPayload {
 		return fmt.Errorf("can: DLC %d outside [0,%d]", f.DLC, MaxPayload)
 	}
+	if f.Format != Standard11Bit && f.Format != Extended29Bit {
+		return fmt.Errorf("can: unknown identifier format %d", int(f.Format))
+	}
 	if !f.ID.Valid(f.Format) {
 		return fmt.Errorf("can: ID %s does not fit %s format", f.ID, f.Format)
 	}

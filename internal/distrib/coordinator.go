@@ -85,6 +85,11 @@ const (
 	// EventWorkerDropped fires when a worker is retired after
 	// consecutive failures.
 	EventWorkerDropped EventType = "worker_dropped"
+	// EventShardAbandoned fires when a cancelled run abandons an attempt
+	// in flight. The shard goes back to the queue, so a resumed run
+	// still sees it pending; the attempt is neither a failure nor a
+	// retry.
+	EventShardAbandoned EventType = "shard_abandoned"
 )
 
 // Event is one step of a distributed run.
@@ -99,8 +104,8 @@ type Event struct {
 	Total int `json:"total"`
 	// Err carries the failure of shard_failed / worker_dropped events.
 	Err string `json:"err,omitempty"`
-	// ElapsedNS is the attempt's wall-clock duration, set on shard_done
-	// and shard_failed events.
+	// ElapsedNS is the attempt's wall-clock duration, set on shard_done,
+	// shard_failed and shard_abandoned events.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 	// Bytes is the response body size as it travelled (post-compression),
 	// set on shard_done events.
@@ -117,8 +122,9 @@ type Stats struct {
 	// those after a shard's first attempt.
 	Dispatched, Redispatched int
 	// Shards counts installed shards; Retries counts failed attempts;
+	// Abandoned counts attempts a cancelled run gave up on;
 	// DroppedWorkers counts retired workers.
-	Shards, Retries, DroppedWorkers int
+	Shards, Retries, Abandoned, DroppedWorkers int
 	// BytesOnWire totals shard response bodies as they travelled
 	// (post-compression).
 	BytesOnWire int64
@@ -140,15 +146,18 @@ func (s *Stats) Add(e Event) {
 		s.Latency += time.Duration(e.ElapsedNS)
 	case EventShardFailed:
 		s.Retries++
+	case EventShardAbandoned:
+		s.Abandoned++
 	case EventWorkerDropped:
 		s.DroppedWorkers++
 	}
 }
 
-// InFlight counts dispatched attempts that have neither installed nor
-// failed: at most one per live worker. An attempt abandoned by a
-// cancelled run stays in flight.
-func (s Stats) InFlight() int { return s.Dispatched - s.Shards - s.Retries }
+// InFlight counts dispatched attempts that have not ended: every
+// attempt ends installed, failed or abandoned, so in flight is
+// dispatched - done - failed - abandoned, at most one per live worker,
+// and zero once a run has returned.
+func (s Stats) InFlight() int { return s.Dispatched - s.Shards - s.Retries - s.Abandoned }
 
 type shardTask struct {
 	r        campaign.ShardRange
@@ -281,6 +290,8 @@ func (c *coordinator) workerLoop(ctx context.Context, addr string) {
 		if ctx.Err() != nil {
 			// Cancelled mid-flight: not the worker's fault. Requeue so a
 			// restarted run still sees the shard as pending.
+			c.emit(Event{Type: EventShardAbandoned, Worker: addr, Shard: t.r,
+				Attempt: t.attempts + 1, ElapsedNS: int64(elapsed)})
 			c.queue <- t
 			return
 		}

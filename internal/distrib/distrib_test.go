@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -244,6 +245,8 @@ func TestStatsAdd(t *testing.T) {
 		{Type: EventShardFailed, Shard: r, Attempt: 1, ElapsedNS: 7},
 		{Type: EventWorkerDropped, Shard: r, Attempt: 1},
 		{Type: EventDispatch, Shard: r, Attempt: 2},
+		{Type: EventShardAbandoned, Shard: r, Attempt: 2, ElapsedNS: 3},
+		{Type: EventDispatch, Shard: r, Attempt: 2},
 	} {
 		st.Add(e)
 	}
@@ -251,10 +254,76 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("in flight %d after a retry's dispatch, want 1", st.InFlight())
 	}
 	st.Add(Event{Type: EventShardDone, Shard: r, Attempt: 2, ElapsedNS: 5e6, Bytes: 300})
-	want := Stats{Dispatched: 2, Redispatched: 1, Shards: 1, Retries: 1, DroppedWorkers: 1,
+	want := Stats{Dispatched: 3, Redispatched: 2, Shards: 1, Retries: 1, Abandoned: 1, DroppedWorkers: 1,
 		BytesOnWire: 300, Latency: 5 * time.Millisecond}
 	if st != want || st.InFlight() != 0 {
 		t.Fatalf("stats %+v (in flight %d), want %+v", st, st.InFlight(), want)
+	}
+}
+
+// TestDistribCancelSettlesInFlight cancels a run while both workers
+// hold a shard: each attempt ends abandoned, so the returned Stats
+// hold nothing in flight, and the shards stay pending for a resumed
+// run, which reproduces the local report.
+func TestDistribCancelSettlesInFlight(t *testing.T) {
+	spec := testSpec()
+	cfg := testConfig()
+	want, err := campaign.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{}, 2)
+	hold := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		// With the body read, the server watches the connection and
+		// cancels the request when the client goes away.
+		io.Copy(io.Discard, r.Body)
+		held <- struct{}{}
+		<-r.Context().Done()
+	})
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(hold)
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
+	job, err := campaign.NewSpecJob(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-held
+		<-held
+		cancel()
+	}()
+	var abandoned []Event
+	_, stats, err := RunStats(ctx, job, Options{
+		Workers: urls, ShardSize: 4,
+		OnEvent: func(e Event) {
+			if e.Type == EventShardAbandoned {
+				abandoned = append(abandoned, e)
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if stats.Dispatched != 2 || stats.Abandoned != 2 || len(abandoned) != 2 || stats.InFlight() != 0 {
+		t.Fatalf("stats %+v (in flight %d), %d abandon events; want 2 dispatched, 2 abandoned, 0 in flight",
+			stats, stats.InFlight(), len(abandoned))
+	}
+	if stats.Retries != 0 || stats.Redispatched != 0 {
+		t.Fatalf("stats %+v: an abandoned attempt counted as a failure or retry", stats)
+	}
+	if done, _ := job.Progress(); done != 0 {
+		t.Fatalf("%d scenarios installed by a run that installed no shard", done)
+	}
+	got, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical(t, got) != canonical(t, want) {
+		t.Fatal("local resume after a cancelled distributed run differs")
 	}
 }
 

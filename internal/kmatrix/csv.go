@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -109,17 +110,17 @@ func decodeRow(rec []string) (Message, error) {
 	if m.DLC, err = strconv.Atoi(rec[3]); err != nil {
 		return m, fmt.Errorf("bad dlc %q: %w", rec[3], err)
 	}
-	if m.Period, err = microseconds(rec[4]); err != nil {
-		return m, fmt.Errorf("bad period %q: %w", rec[4], err)
+	if m.Period, err = microseconds(rec, 4); err != nil {
+		return m, err
 	}
-	if m.Jitter, err = microseconds(rec[5]); err != nil {
-		return m, fmt.Errorf("bad jitter %q: %w", rec[5], err)
+	if m.Jitter, err = microseconds(rec, 5); err != nil {
+		return m, err
 	}
 	if m.JitterKnown, err = strconv.ParseBool(rec[6]); err != nil {
 		return m, fmt.Errorf("bad jitter_known %q: %w", rec[6], err)
 	}
-	if m.Deadline, err = microseconds(rec[7]); err != nil {
-		return m, fmt.Errorf("bad deadline %q: %w", rec[7], err)
+	if m.Deadline, err = microseconds(rec, 7); err != nil {
+		return m, err
 	}
 	m.Sender = rec[8]
 	if rec[9] != "" {
@@ -128,10 +129,20 @@ func decodeRow(rec []string) (Message, error) {
 	return m, nil
 }
 
-func microseconds(s string) (time.Duration, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
+// maxMicroseconds is the largest magnitude a duration column may carry:
+// one more microsecond would not fit a time.Duration.
+const maxMicroseconds = math.MaxInt64 / int64(time.Microsecond)
+
+// microseconds decodes the duration column col of rec, refusing values
+// whose nanoseconds would leave int64 (they used to wrap, and a wrapped
+// period could pass validation and then no longer re-encode).
+func microseconds(rec []string, col int) (time.Duration, error) {
+	v, err := strconv.ParseInt(rec[col], 10, 64)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("bad %s %q: %w", csvHeader[col], rec[col], err)
+	}
+	if v > maxMicroseconds || v < -maxMicroseconds {
+		return 0, fmt.Errorf("bad %s %q: outside ±%d µs", csvHeader[col], rec[col], maxMicroseconds)
 	}
 	return time.Duration(v) * time.Microsecond, nil
 }

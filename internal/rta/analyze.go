@@ -34,13 +34,21 @@ func Analyze(msgs []Message, cfg Config) (*Report, error) {
 
 // prepared holds the shared read-only inputs of the per-message
 // analyses: the priority-ordered message set, the wire times under the
-// configured stuffing, the warm-start bound (see resume) and the report
-// skeleton, which echoes the configuration.
+// configured stuffing, the warm-start bound (see resume), the rank the
+// load rule settles from (see analyzeOne) and the report skeleton,
+// which echoes the configuration.
 type prepared struct {
 	ordered []Message
 	wire    []time.Duration
 	warmCap time.Duration
-	rep     *Report
+	// settle reports whether analyzeOne may settle a busy period without
+	// iterating: the error model pays whole error costs and the analysis
+	// is the busy-period one, not the single-instance ablation.
+	settle bool
+	// overloaded is the first rank whose prefix utilisation provably
+	// exceeds 1, len(ordered) when none does.
+	overloaded int
+	rep        *Report
 }
 
 // prepare validates the input, orders it by priority and computes the
@@ -60,58 +68,103 @@ func prepare(msgs []Message, cfg Config) (*prepared, error) {
 			return nil, err
 		}
 	}
-	ordered := make([]Message, len(msgs))
-	copy(ordered, msgs)
-	slices.SortStableFunc(ordered, byPriority)
-	for i := 1; i < len(ordered); i++ {
-		a, b := ordered[i-1], ordered[i]
+	n := len(msgs)
+	p := &prepared{
+		ordered:    make([]Message, n),
+		wire:       make([]time.Duration, n),
+		overloaded: n,
+		rep: &Report{
+			Results: make([]Result, n),
+			Config:  cfg,
+		},
+	}
+	// Sort by packed priority keys, held in the wire-time slice until
+	// the order is known.
+	for i := range msgs {
+		p.wire[i] = priorityKey(msgs[i].Frame, i)
+	}
+	slices.Sort(p.wire)
+	for i, key := range p.wire {
+		p.ordered[i] = msgs[key&keyIndexMask]
+	}
+	for i := 1; i < n; i++ {
+		a, b := &p.ordered[i-1], &p.ordered[i]
 		if a.Frame.ID == b.Frame.ID && a.Frame.Format == b.Frame.Format {
 			return nil, fmt.Errorf("rta: messages %q and %q share identifier %s",
 				a.Name, b.Name, a.Frame.ID)
 		}
 	}
 
-	p := &prepared{
-		ordered: ordered,
-		wire:    make([]time.Duration, len(ordered)),
-		rep: &Report{
-			Results: make([]Result, len(ordered)),
-			Config:  cfg,
-		},
-	}
+	// The running sum is Report.Utilization; a prefix that clears 1 by
+	// more than its rounding error marks the first overloaded level.
+	overloadedAbove := 1 + loadMargin(n)
 	var minWire time.Duration
-	for i, m := range ordered {
+	for i, m := range p.ordered {
 		p.wire[i] = cfg.Bus.FrameTime(m.Frame, cfg.Stuffing)
 		p.rep.Utilization += float64(p.wire[i]) / float64(m.Event.Period)
+		if p.overloaded == n && p.rep.Utilization > overloadedAbove {
+			p.overloaded = i
+		}
 		if i == 0 || p.wire[i] < minWire {
 			minWire = p.wire[i]
 		}
 	}
 	if wholeErrorCosts(cfg.errors()) {
 		p.warmCap = maxIterations * minWire
+		p.settle = !cfg.ClassicSingleInstance
 	}
 	return p, nil
 }
 
-// byPriority orders messages by arbitration priority, highest first.
-func byPriority(a, b Message) int {
-	if a.Frame.ID.HigherPriorityThan(b.Frame.ID, a.Frame.Format, b.Frame.Format) {
-		return -1
+// Priority keys pack what can.ID.HigherPriorityThan compares, most
+// significant first: the 11-bit base identifier, the format bit (a
+// standard frame wins an equal base), the extended identifier's low 18
+// bits, and the input index (33 bits, far more messages than memory
+// holds), which keeps the sort stable. A key fits in 63 bits, so keys
+// sort as non-negative durations.
+const (
+	keyIndexBits = 33
+	keyIndexMask = 1<<keyIndexBits - 1
+	keyLowShift  = keyIndexBits
+	keyFmtShift  = keyLowShift + 18
+	keyBaseShift = keyFmtShift + 1
+)
+
+// priorityKey returns the sort key of a validated frame at the given
+// input index.
+func priorityKey(f can.Frame, index int) time.Duration {
+	key := uint64(f.ID) << keyBaseShift
+	if f.Format == can.Extended29Bit {
+		key = uint64(f.ID>>18)<<keyBaseShift | 1<<keyFmtShift | uint64(f.ID&(1<<18-1))<<keyLowShift
 	}
-	if b.Frame.ID.HigherPriorityThan(a.Frame.ID, b.Frame.Format, a.Frame.Format) {
-		return 1
-	}
-	return 0
+	return time.Duration(key | uint64(index))
+}
+
+// loadMargin bounds the relative rounding error of a running sum of n
+// utilisation terms float64(C)/float64(P): at most three roundings per
+// term and n-1 in the sum give gamma_{n+2} = (n+2)u/(1-(n+2)u) with u =
+// 2^-53, and (n+2)*2^-52 exceeds that while (n+2)u <= 1/2. It is a
+// multiple of 2^-52, so 1 + loadMargin(n) is exact. A computed prefix
+// sum above 1 + loadMargin(n) thus proves an exact sum above 1, and a
+// level at exactly 1 never clears it.
+func loadMargin(n int) float64 {
+	return float64(n+2) * 0x1p-52
 }
 
 // wholeErrorCosts reports whether the error model charges overhead in
-// whole error costs (ErrorFrame + CMax, never less than a wire time) and
-// grows with CMax: true for the models package errormodel defines,
-// false for any other implementation, whose analyses then run cold.
+// whole error costs (ErrorFrame + CMax, never less than a wire time),
+// never a negative one, and grows with t and CMax: true for the models
+// package errormodel defines, given parameters that keep them so (a
+// positive Sporadic interval, a valid Burst), false for any other
+// implementation, whose analyses then run cold.
 func wholeErrorCosts(m errormodel.Model) bool {
 	switch e := m.(type) {
-	case errormodel.None, errormodel.Sporadic, errormodel.Burst:
+	case errormodel.None:
 		return true
+	case errormodel.Sporadic:
+		return e.Interval > 0
+	case errormodel.Burst:
+		return e.Validate() == nil
 	case errormodel.Composite:
 		for _, c := range e {
 			if !wholeErrorCosts(c) {
@@ -205,9 +258,10 @@ func (m *etaMemo) at(k int, dt time.Duration) int {
 }
 
 // kernel is one worker's state for the per-message analyses: the eta+
-// memo and the level busy period it converged last, which seeds the
-// next rank's busy-period fixpoint. Apart from this state analyzeOne is
-// a pure function of the prepared inputs, so kernels fan out across
+// memo and what it learnt of the level busy period of the rank it
+// analysed last, which either seeds the next rank's busy-period
+// fixpoint or settles it. Apart from this state analyzeOne is a pure
+// function of the prepared inputs, so kernels fan out across
 // goroutines; each worker owns one.
 type kernel struct {
 	*prepared
@@ -215,10 +269,13 @@ type kernel struct {
 	errs    errormodel.Model
 	horizon time.Duration
 	bitTime time.Duration
-	// rank is the last rank analysed and busy its converged level busy
-	// period, zero when that analysis produced none.
-	rank int
-	busy time.Duration
+	// rank is the last rank analysed; busy is its converged level busy
+	// period, zero when that analysis produced none, and beyond reports
+	// that its busy period provably has no fixpoint at or below the
+	// horizon.
+	rank   int
+	busy   time.Duration
+	beyond bool
 }
 
 func newKernel(p *prepared) *kernel {
@@ -234,13 +291,14 @@ func newKernel(p *prepared) *kernel {
 
 // analyzeOne computes the result of the message at rank i. prevBusy,
 // when positive, is the converged level busy period of rank i-1 known
-// to the caller (a cached result); the kernel also remembers the busy
-// period of the rank it analysed last.
+// to the caller (a cached result); the kernel also remembers what it
+// learnt of the busy period of the rank it analysed last.
 func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
+	prevBeyond := k.rank == i-1 && k.beyond
 	if k.rank == i-1 && k.busy > 0 {
 		prevBusy = k.busy
 	}
-	k.rank, k.busy = i, 0
+	k.rank, k.busy, k.beyond = i, 0, false
 
 	m := k.ordered[i]
 	cfg := k.rep.Config
@@ -258,6 +316,25 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 			res.Blocking = k.wire[j]
 		}
 	}
+
+	markUnschedulable := func() Result {
+		res.BusyPeriod = Unschedulable
+		res.WCRT = Unschedulable
+		res.Schedulable = false
+		return res
+	}
+
+	// Settled levels, whose busy-period iteration could only end at the
+	// horizon or the iteration cap: every level at or below the first
+	// overloaded one (load rule), and the level below one whose busy
+	// period this kernel saw cross the horizon (rank rule). Either way
+	// the busy period has no fixpoint at or below the horizon, and
+	// neither has the next rank's.
+	if k.settle && (i >= k.overloaded || prevBeyond) {
+		k.beyond = true
+		return markUnschedulable()
+	}
+
 	// Error context: any frame at this priority level or above may be the
 	// one that needs retransmission.
 	ectx := errormodel.Context{ErrorFrame: cfg.Bus.ErrorOverheadTime()}
@@ -265,13 +342,6 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 		if k.wire[j] > ectx.CMax {
 			ectx.CMax = k.wire[j]
 		}
-	}
-
-	markUnschedulable := func() Result {
-		res.BusyPeriod = Unschedulable
-		res.WCRT = Unschedulable
-		res.Schedulable = false
-		return res
 	}
 
 	// An effectively unbounded activation jitter (the sentinel an
@@ -284,7 +354,7 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 
 	// Queueing delay of instance q: the fixpoint of
 	// w = B + q*C_m + E(w + C_m) + sum_{k < i} eta_k+(w + tau_bit) * C_k.
-	queue := func(q int, warm time.Duration) (time.Duration, bool) {
+	queue := func(q int, warm time.Duration) (time.Duration, outcome) {
 		base := res.Blocking + time.Duration(q)*res.C
 		return k.resume(base, warm, fixpoint{base: base, errOff: res.C, etaOff: k.bitTime, n: i, ectx: ectx})
 	}
@@ -292,8 +362,8 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 	if cfg.ClassicSingleInstance {
 		res.Instances = 1
 		res.BusyPeriod = res.Blocking + res.C
-		w, ok := queue(0, 0)
-		if !ok {
+		w, out := queue(0, 0)
+		if out != converged {
 			return markUnschedulable()
 		}
 		res.WCRT = m.Event.Jitter + w + res.C
@@ -304,9 +374,10 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 	// Level-i busy period: fixpoint of
 	// L = B + E(L) + sum_{k<=i} eta_k+(L) * C_k.
 	// Rank i-1's busy period, when converged, lies at or below it.
-	L, ok := k.resume(res.Blocking+res.C, prevBusy,
+	L, out := k.resume(res.Blocking+res.C, prevBusy,
 		fixpoint{base: res.Blocking, n: i + 1, ectx: ectx})
-	if !ok {
+	if out != converged {
+		k.beyond = out == beyondHorizon
 		return markUnschedulable()
 	}
 	k.busy = L
@@ -325,7 +396,7 @@ func (k *kernel) analyzeOne(i int, prevBusy time.Duration) Result {
 		if q > 0 {
 			warm = w + res.C
 		}
-		if w, ok = queue(q, warm); !ok {
+		if w, out = queue(q, warm); out != converged {
 			return markUnschedulable()
 		}
 		r := m.Event.Jitter + w + res.C - time.Duration(q)*m.Event.Period
@@ -350,20 +421,37 @@ type fixpoint struct {
 	ectx                 errormodel.Context
 }
 
-// iterate runs x <- f(x) from x until f(x) == x, returning (x, true),
-// or (0, false) once an iterate exceeds the horizon or the loop reaches
-// maxIterations.
-func (k *kernel) iterate(x time.Duration, f fixpoint) (time.Duration, bool) {
+// outcome is how a fixpoint iteration ended.
+type outcome uint8
+
+const (
+	// converged: an iterate x had f(x) == x.
+	converged outcome = iota
+	// beyondHorizon: an iterate exceeded the horizon. From a start at or
+	// below f's least fixpoint every iterate stays at or below it, so
+	// the least fixpoint, if any, lies beyond the horizon.
+	beyondHorizon
+	// capped: maxIterations steps passed without either.
+	capped
+)
+
+// iterate runs x <- f(x) from x until f(x) == x, returning (x,
+// converged), or (0, beyondHorizon) once an iterate exceeds the
+// horizon, or (0, capped) once the loop reaches maxIterations.
+func (k *kernel) iterate(x time.Duration, f fixpoint) (time.Duration, outcome) {
 	for iter := 0; ; iter++ {
 		next := f.base + k.errs.Overhead(x+f.errOff, f.ectx)
 		for j := 0; j < f.n; j++ {
 			next += time.Duration(k.memo.at(j, x+f.etaOff)) * k.wire[j]
 		}
 		if next == x {
-			return x, true
+			return x, converged
 		}
-		if next > k.horizon || iter >= maxIterations {
-			return 0, false
+		if next > k.horizon {
+			return 0, beyondHorizon
+		}
+		if iter >= maxIterations {
+			return 0, capped
 		}
 		x = next
 	}
@@ -376,7 +464,9 @@ func (k *kernel) iterate(x time.Duration, f fixpoint) (time.Duration, bool) {
 // fixpoint and each stays at or above the cold iterate of the same
 // step. Hence:
 //
-//   - a warm failure is a cold failure, and stands;
+//   - a warm failure is a cold failure, and stands; a warm horizon
+//     crossing places the least fixpoint beyond the horizon, as a cold
+//     one would;
 //   - a warm fixpoint x is the cold one, and the cold iteration reaches
 //     it inside the horizon if x <= horizon, and inside maxIterations if
 //     x - cold <= maxIterations * min wire time: every cold step that
@@ -384,14 +474,14 @@ func (k *kernel) iterate(x time.Duration, f fixpoint) (time.Duration, bool) {
 //
 // When either bound fails (or the error model is not known to pay whole
 // error costs, warmCap == 0) the fixpoint is recomputed cold.
-func (k *kernel) resume(cold, warm time.Duration, f fixpoint) (time.Duration, bool) {
+func (k *kernel) resume(cold, warm time.Duration, f fixpoint) (time.Duration, outcome) {
 	if warm > cold && k.warmCap > 0 {
-		x, ok := k.iterate(warm, f)
-		if !ok {
-			return 0, false
+		x, out := k.iterate(warm, f)
+		if out != converged {
+			return 0, out
 		}
 		if warmExact(x, cold, k.horizon, k.warmCap) {
-			return x, true
+			return x, converged
 		}
 	}
 	return k.iterate(cold, f)

@@ -35,6 +35,17 @@
 // end differently (horizon or iteration cap), so reports are
 // bit-identical to cold iteration from the blocking term.
 //
+// Busy periods that provably cannot converge are not iterated at all.
+// At a level whose prefix utilisation U = Σ_{k in hep(m)} C_k/T_k
+// exceeds 1 (by more than the float sum's rounding error), the busy
+// period's right-hand side is at least U·L > L for every L > 0, there
+// and at every level below (the load rule);
+// the level below one whose busy period the same worker saw cross the
+// horizon has a busy period beyond the horizon too (the rank rule).
+// Both end where the iteration would have: Unschedulable. They apply
+// to the error models of package errormodel and not to the classic
+// single-instance ablation.
+//
 // This is the formal core of the source paper's Section 3.2: the
 // worst-case message response analysis that replaces bus-load folklore
 // and test equipment in the OEM's integration verification.

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,6 +197,82 @@ func TestDistributedCampaignOverService(t *testing.T) {
 	if done != float64(last.Shards.Done) || dispatched != done+failed+inflight || inflight != 0 {
 		t.Fatalf("shard metrics: %v dispatched, %v done, %v failed, %v in flight; status %+v",
 			dispatched, done, failed, inflight, last.Shards)
+	}
+}
+
+// TestCancelledCampaignSettlesInflight cancels a distributed campaign
+// while both workers hold a shard: the job's stream carries both
+// shard_abandoned events, and the coordinator's /metrics settle them,
+// with nothing left in flight.
+func TestCancelledCampaignSettlesInflight(t *testing.T) {
+	held := make(chan struct{}, 2)
+	hold := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		// With the body read, the server watches the connection and
+		// cancels the request when the coordinator goes away.
+		io.Copy(io.Discard, r.Body)
+		held <- struct{}{}
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hold.Close)
+	coord := mustServer(t, Config{Workers: 1, WorkerAddrs: []string{hold.URL, hold.URL}, ShardSize: 2})
+	hc := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { hc.Close(); coord.Close() })
+
+	id := startCampaign(t, hc.URL, "seed = 9\ncount = 8\n")
+	for i := 0; i < 2; i++ {
+		select {
+		case <-held:
+		case <-time.After(time.Minute):
+			t.Fatal("workers never received both shards")
+		}
+	}
+	if status, data := do(t, "POST", hc.URL+"/v1/campaigns/"+id+"/cancel", ""); status != http.StatusAccepted {
+		t.Fatalf("cancel: %d %s", status, data)
+	}
+
+	// The stream replays the job's events and ends at its final status.
+	req, err := http.NewRequest("GET", hc.URL+"/v1/campaigns/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	abandoned := 0
+	var last CampaignStatus
+	var event string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: ") && event == "shard":
+			var e distrib.Event
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Type == distrib.EventShardAbandoned {
+				abandoned++
+			}
+		case strings.HasPrefix(line, "data: ") && event == "status":
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if last.State != "cancelled" || abandoned != 2 {
+		t.Fatalf("stream ended %q with %d shard_abandoned events, want cancelled and 2", last.State, abandoned)
+	}
+	body := scrape(t, hc.URL)
+	if inflight, dispatched, gaveUp := sample(t, body, "symtago_shard_inflight"),
+		sample(t, body, "symtago_shard_dispatch_total"),
+		sample(t, body, "symtago_shard_abandoned_total"); inflight != 0 || dispatched != 2 || gaveUp != 2 {
+		t.Fatalf("shard metrics after cancel: %v in flight, %v dispatched, %v abandoned; want 0, 2, 2",
+			inflight, dispatched, gaveUp)
 	}
 }
 

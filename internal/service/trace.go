@@ -218,6 +218,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Uint("symtago_shard_failed_total", nil, uint64(sh.Retries))
 	p.Family("symtago_shard_retries_total", "counter", "Shard attempts beyond the first (coordinator side).")
 	p.Uint("symtago_shard_retries_total", nil, uint64(sh.Redispatched))
+	p.Family("symtago_shard_abandoned_total", "counter", "Shard attempts abandoned by a cancelled run (coordinator side).")
+	p.Uint("symtago_shard_abandoned_total", nil, uint64(sh.Abandoned))
 	p.Family("symtago_shard_dropped_workers_total", "counter", "Workers retired after consecutive failures.")
 	p.Uint("symtago_shard_dropped_workers_total", nil, uint64(sh.DroppedWorkers))
 	p.Family("symtago_shard_latency_seconds_sum", "counter", "Summed latency of completed shards.")
