@@ -40,7 +40,6 @@ func cmdCampaign(args []string) error {
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	cacheDir := fs.String("cache-dir", "", "local runs: on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	traceOut := fs.String("trace-out", "", "record the whole run at full rate and write Chrome trace_event JSON here")
 	flightN := fs.Int("flight", 0, "keep the N slowest scenarios' span trees; SIGQUIT dumps them as JSON to stderr (0 = off)")
 	if err := parseFlags(fs, args); err != nil {
@@ -91,14 +90,15 @@ func cmdCampaign(args []string) error {
 		Seeds:    *seeds,
 		Duration: *duration,
 	}
-	shared, err := cache.OpenShared(*cacheDir, *cacheBytes, *remoteCache)
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
+	var disk *cache.Disk
+	var err error
+	if *cacheDir != "" {
+		if disk, err = cache.NewDisk(*cacheDir, *cacheBytes); err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
+		defer disk.Close()
+		cfg.Cache = disk
 	}
-	// Close flushes the remote write-behind queue, so a one-shot
-	// campaign's results reach the fleet before the process exits.
-	defer shared.Close()
-	cfg.Cache = shared.Store
 
 	// -trace-out records this one run at full rate into a standalone
 	// trace; -flight keeps the N slowest scenarios' span trees. Neither
@@ -161,15 +161,10 @@ func cmdCampaign(args []string) error {
 			fmt.Printf("slowest %d: %s (%v)\n", i+1, e.Label, time.Duration(e.DurNS).Round(time.Microsecond))
 		}
 	}
-	if shared.Disk != nil {
-		st := shared.Disk.Stats()
+	if disk != nil {
+		st := disk.Stats()
 		fmt.Printf("disk cache: %d entries, %d B, %d hits / %d misses\n",
 			st.Entries, st.Bytes, st.Hits, st.Misses)
-	}
-	if shared.Remote != nil {
-		rs := shared.Remote.RemoteStats()
-		fmt.Printf("remote cache: %d hits / %d misses, %d errors, breaker %s\n",
-			rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 	}
 	fmt.Println(rep.Render())
 	fmt.Printf("wall time %v\n", time.Since(start).Round(time.Millisecond))

@@ -290,16 +290,13 @@ func cmdSimulate(args []string) error {
 	violations := 0
 	for _, st := range res.Stats {
 		bound := rep.ByName(st.Name).WCRT
-		boundStr := "unbounded"
-		okStr := "-"
+		boundStr, okStr := "unbounded", "-"
 		if bound != rta.Unschedulable {
-			boundStr = bound.String()
-			if st.MaxResponse > bound {
-				okStr = "VIOLATION"
-				violations++
-			} else {
-				okStr = "ok"
-			}
+			boundStr, okStr = bound.String(), "ok"
+		}
+		if st.Exceeds(bound) {
+			okStr = "VIOLATION"
+			violations++
 		}
 		rows = append(rows, []string{
 			st.Name, fmt.Sprint(st.Sent), fmt.Sprint(st.Lost),

@@ -49,11 +49,6 @@ func badValue(cmd, name string, v any, want string) error {
 	return usageErrf("%s: -%s %v: want %s", cmd, name, v, want)
 }
 
-// remoteCacheFlag registers the uniform -remote-cache flag.
-func remoteCacheFlag(fs *flag.FlagSet) *string {
-	return fs.String("remote-cache", "", "cacheserver base URL for the fleet-shared result tier (empty = off)")
-}
-
 // splitAddrs parses a comma-separated -workers-addr value into the
 // list of worker base URLs, dropping empty segments.
 func splitAddrs(s string) []string {

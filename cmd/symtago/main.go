@@ -20,22 +20,18 @@
 //	symtago campaign [-n count] [-seed n] [-spec file] [-workers n] [-seeds n]
 //	                 [-duration d] [-csv file] [-corpus file] [-quick]
 //	                 [-workers-addr urls] [-shard n] [-shard-timeout d]
-//	                 [-cache-dir dir] [-cache-bytes n] [-remote-cache url]
+//	                 [-cache-dir dir] [-cache-bytes n]
 //	                 [-trace-out file] [-flight n]
 //	symtago serve    [-addr host:port] [-workers n] [-cache n] [-ttl d]
 //	                 [-max-clients n] [-queue-depth n] [-tenant-rate r]
 //	                 [-tenant-quota n] [-request-timeout d] [-drain-timeout d]
 //	                 [-checkpoint-dir dir] [-cache-dir dir] [-cache-bytes n]
-//	                 [-remote-cache url]
 //	                 [-workers-addr urls] [-shard n] [-shard-timeout d]
 //	                 [-trace-sample f] [-trace-buffer n] [-flight n]
 //	                 [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]
 //	symtago worker   [-addr host:port] [-workers n] [-cache-dir dir]
-//	                 [-cache-bytes n] [-remote-cache url]
-//	                 [-pprof-addr host:port]
-//	symtago cacheserver [-addr host:port] -cache-dir dir [-cache-bytes n]
-//	                 [-pprof-addr host:port]
+//	                 [-cache-bytes n] [-pprof-addr host:port]
 //
 // A missing -kmatrix selects the built-in synthetic power-train matrix
 // (the case-study substitute documented in DESIGN.md).
@@ -59,50 +55,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "figures":
-		err = cmdFigures(os.Args[2:])
-	case "load":
-		err = cmdLoad(os.Args[2:])
-	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
-	case "sensitivity":
-		err = cmdSensitivity(os.Args[2:])
-	case "loss":
-		err = cmdLoss(os.Args[2:])
-	case "optimize":
-		err = cmdOptimize(os.Args[2:])
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "validate":
-		err = cmdValidate(os.Args[2:])
-	case "netsim":
-		err = cmdNetsim(os.Args[2:])
-	case "contract":
-		err = cmdContract(os.Args[2:])
-	case "whatif":
-		err = cmdWhatIf(os.Args[2:])
-	case "tolerance":
-		err = cmdTolerance(os.Args[2:])
-	case "extend":
-		err = cmdExtend(os.Args[2:])
-	case "campaign":
-		err = cmdCampaign(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "worker":
-		err = cmdWorker(os.Args[2:])
-	case "cacheserver":
-		err = cmdCacheServer(os.Args[2:])
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "symtago: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(os.Args[1], os.Args[2:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			// The flag set already printed its usage.
 			return
@@ -112,6 +65,51 @@ func main() {
 			os.Exit(2)
 		}
 		os.Exit(1)
+	}
+}
+
+// run dispatches one subcommand. An unknown command is a usage error,
+// reported after the command list.
+func run(cmd string, args []string) error {
+	switch cmd {
+	case "figures":
+		return cmdFigures(args)
+	case "load":
+		return cmdLoad(args)
+	case "analyze":
+		return cmdAnalyze(args)
+	case "sensitivity":
+		return cmdSensitivity(args)
+	case "loss":
+		return cmdLoss(args)
+	case "optimize":
+		return cmdOptimize(args)
+	case "simulate":
+		return cmdSimulate(args)
+	case "validate":
+		return cmdValidate(args)
+	case "netsim":
+		return cmdNetsim(args)
+	case "contract":
+		return cmdContract(args)
+	case "whatif":
+		return cmdWhatIf(args)
+	case "tolerance":
+		return cmdTolerance(args)
+	case "extend":
+		return cmdExtend(args)
+	case "campaign":
+		return cmdCampaign(args)
+	case "serve":
+		return cmdServe(args)
+	case "worker":
+		return cmdWorker(args)
+	case "help", "-h", "--help":
+		usage()
+		return nil
+	default:
+		usage()
+		return usageErrf("unknown command %q", cmd)
 	}
 }
 
@@ -176,7 +174,6 @@ commands:
   campaign     population-scale scenario corpus study (analysis + netsim + what-if)
   serve        long-running HTTP/JSON analysis service with persistent sessions
   worker       shard worker executing campaign ranges for a remote coordinator
-  cacheserver  fleet-shared content-addressed result cache over HTTP
 
 exit codes: 0 success, 1 runtime failure, 2 usage error`)
 }

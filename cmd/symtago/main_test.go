@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,22 +68,21 @@ func TestCampaignWarmCacheDir(t *testing.T) {
 	}
 }
 
-// TestCacheServerRequiresCacheDir: cacheserver without -cache-dir is a
-// usage error, exit 2 under docs/cli.md.
-func TestCacheServerRequiresCacheDir(t *testing.T) {
-	err := cmdCacheServer(nil)
-	if err == nil || !isUsageError(err) {
-		t.Fatalf("cmdCacheServer() = %v, want a usage error", err)
-	}
-}
-
 // TestExitCodeContract table-tests docs/cli.md's exit codes: unknown
 // flags, unknown commands and out-of-range values are usage errors
-// (exit 2), checked before any work starts; a file that cannot be read
-// and output that cannot be written are runtime failures (exit 1).
-// Every subcommand has at least one case of each kind apart from
-// serve, worker and cacheserver, whose runtime failures need a network.
+// (exit 2), checked before any work starts; a file that cannot be read,
+// output that cannot be written and a listen address already taken
+// are runtime failures (exit 1). Every subcommand has at least one
+// case of each kind. The taken address is a loopback listener of the
+// test's own, and serve and worker must fail on it before printing
+// their banner.
 func TestExitCodeContract(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	taken := held.Addr().String()
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "no-such-spec.toml")
 	specFile := func(name, body string) string {
@@ -106,7 +106,15 @@ func TestExitCodeContract(t *testing.T) {
 		// unwritable runs the case with an os.Stdout that fails every
 		// write.
 		unwritable bool
+		// silent requires the case to print nothing to os.Stdout.
+		silent bool
 	}{
+		{name: "cacheserver removed", run: func(args []string) error { return run("cacheserver", args) }, usage: true},
+		{name: "campaign removed -remote-cache", run: cmdCampaign, args: []string{"-remote-cache", "http://127.0.0.1:1"}, usage: true},
+		{name: "worker removed -remote-cache", run: cmdWorker, args: []string{"-remote-cache", "http://127.0.0.1:1"}, usage: true},
+		{name: "serve removed -remote-cache", run: cmdServe, args: []string{"-remote-cache", "http://127.0.0.1:1"}, usage: true},
+		{name: "serve -addr already taken", run: cmdServe, args: []string{"-addr", taken}, silent: true},
+		{name: "worker -addr already taken", run: cmdWorker, args: []string{"-addr", taken}, silent: true},
 		{name: "campaign removed -pipeline-depth", run: cmdCampaign, args: []string{"-pipeline-depth", "2"}, usage: true},
 		{name: "serve removed -pipeline-depth", run: cmdServe, args: []string{"-pipeline-depth", "2"}, usage: true},
 		{name: "campaign oversized -shard", run: cmdCampaign, args: []string{"-shard", "4097"}, usage: true},
@@ -155,9 +163,16 @@ func TestExitCodeContract(t *testing.T) {
 		{name: "extend missing -kmatrix file", run: cmdExtend, args: []string{"-kmatrix", missing}},
 	} {
 		var err error
-		if tc.unwritable {
+		switch {
+		case tc.unwritable:
 			err = withUnwritableStdout(t, func() error { return tc.run(tc.args) })
-		} else {
+		case tc.silent:
+			var out string
+			out, err = captureStdout(t, func() error { return tc.run(tc.args) })
+			if out != "" {
+				t.Errorf("%s: printed %q", tc.name, out)
+			}
+		default:
 			err = tc.run(tc.args)
 		}
 		if err == nil {

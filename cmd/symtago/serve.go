@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -33,7 +34,6 @@ func cmdServe(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request budget incl. queueing (0 = 30s)")
 	cacheDir := fs.String("cache-dir", "", "on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; campaigns fan out over them")
 	shardSize := shardFlag(fs)
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
@@ -66,7 +66,6 @@ func cmdServe(args []string) error {
 		RequestTimeout: *reqTimeout,
 		CacheDir:       *cacheDir,
 		CacheMaxBytes:  *cacheBytes,
-		RemoteCache:    *remoteCache,
 		WorkerAddrs:    splitAddrs(*workersAddr),
 		ShardSize:      *shardSize,
 		ShardTimeout:   *shardTimeout,
@@ -93,6 +92,13 @@ func cmdServe(args []string) error {
 		return nil
 	}
 
+	// Bind first: an address already taken fails before a checkpoint
+	// resumes or a banner claims to be listening.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	defer ln.Close()
 	srv, err := service.New(cfg)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -110,7 +116,6 @@ func cmdServe(args []string) error {
 		}
 	}
 	hs := &http.Server{
-		Addr:    *addr,
 		Handler: srv.Handler(),
 		// A slowloris must not wedge the process: bound every phase of a
 		// connection's life.
@@ -124,7 +129,7 @@ func cmdServe(args []string) error {
 	// exit 0.
 	errCh := make(chan error, 1)
 	go func() {
-		err := hs.ListenAndServe()
+		err := hs.Serve(ln)
 		if errors.Is(err, http.ErrServerClosed) {
 			err = nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,23 +29,30 @@ func cmdWorker(args []string) error {
 	workers := workersFlag(fs)
 	cacheDir := fs.String("cache-dir", "", "on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this extra address (empty = off)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	startPprof("worker", *pprofAddr)
-
-	shared, err := cache.OpenShared(*cacheDir, *cacheBytes, *remoteCache)
+	// Bind first: an address already taken fails before a banner
+	// claims to be listening.
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
-	// Close flushes the remote write-behind queue so results computed
-	// on this worker reach the fleet tier before the process exits.
-	defer shared.Close()
-	worker := distrib.NewWorker(distrib.WorkerConfig{Workers: *workers, Cache: shared.Store})
+	defer ln.Close()
+	startPprof("worker", *pprofAddr)
+
+	wcfg := distrib.WorkerConfig{Workers: *workers}
+	var disk *cache.Disk
+	if *cacheDir != "" {
+		if disk, err = cache.NewDisk(*cacheDir, *cacheBytes); err != nil {
+			return fmt.Errorf("worker: %w", err)
+		}
+		defer disk.Close()
+		wcfg.Cache = disk
+	}
+	worker := distrib.NewWorker(wcfg)
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           worker.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -52,7 +60,7 @@ func cmdWorker(args []string) error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		err := hs.ListenAndServe()
+		err := hs.Serve(ln)
 		if errors.Is(err, http.ErrServerClosed) {
 			err = nil
 		}
@@ -74,15 +82,10 @@ func cmdWorker(args []string) error {
 			fmt.Fprintf(os.Stderr, "symtago worker: shutdown: %v\n", err)
 		}
 		fmt.Printf("symtago worker: served %d shards\n", worker.ShardsServed())
-		if shared.Disk != nil {
-			st := shared.Disk.Stats()
+		if disk != nil {
+			st := disk.Stats()
 			fmt.Printf("symtago worker: disk cache %d entries, %d B, %d hits / %d misses\n",
 				st.Entries, st.Bytes, st.Hits, st.Misses)
-		}
-		if shared.Remote != nil {
-			rs := shared.Remote.RemoteStats()
-			fmt.Printf("symtago worker: remote cache %d hits / %d misses, %d errors, breaker %s\n",
-				rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 		}
 		return nil
 	}

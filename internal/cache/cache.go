@@ -36,6 +36,6 @@ type Stats struct {
 	// Corrupt counts entries dropped as unreadable (truncation, crc
 	// mismatch, version skew) — each read as a miss.
 	Corrupt uint64
-	// Skipped counts Puts of values the wire codec does not carry.
+	// Skipped counts Puts of values the codec does not carry.
 	Skipped uint64
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,6 +23,24 @@ func digestOf(x uint64) contenthash.Digest {
 	h := contenthash.New(77)
 	h.Word(x)
 	return h.Sum()
+}
+
+// recordOf frames value as the record a Disk persists for it.
+func recordOf(value any) []byte {
+	payload, ok := Encode(value)
+	if !ok {
+		panic(fmt.Sprintf("codec does not carry %T", value))
+	}
+	return encodeRecord(payload)
+}
+
+// decodeRecord validates a record's framing and decodes its payload.
+func decodeRecord(rec []byte) (any, error) {
+	payload, err := recordPayload(rec)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(payload)
 }
 
 func sampleRTAResult() *rta.Result {
@@ -162,6 +181,13 @@ func TestDiskRoundTrip(t *testing.T) {
 			t.Fatalf("value %d: disk round trip mismatch", i)
 		}
 	}
+	// A value the codec does not carry stays in-process: the Put is
+	// counted as skipped and writes nothing.
+	before := d.Stats()
+	d.Put(digestOf(99), struct{ X int }{42})
+	if st := d.Stats(); st.Skipped != before.Skipped+1 || st.Entries != before.Entries || st.Bytes != before.Bytes {
+		t.Fatalf("unencodable Put: stats %+v, was %+v", st, before)
+	}
 	// A second store over the same directory sees the records.
 	d2 := openTestDisk(t, d.Dir(), 0)
 	st := d2.Stats()
@@ -197,7 +223,7 @@ func entryAt(t *testing.T, dir string, key contenthash.Digest) (string, int64) {
 // unindexed — never a wrong hit, never a crash — and a new Put of the
 // key serves again.
 func TestDiskCorruptionPaths(t *testing.T) {
-	rec, _ := EncodeRecord(sampleRTAResult())
+	rec := recordOf(sampleRTAResult())
 	corruptions := []struct {
 		name string
 		// mangle edits a segment whose record starts at byte r.

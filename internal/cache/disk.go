@@ -284,40 +284,6 @@ func recordPayload(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeRecord validates the header and crc and decodes the payload.
-func decodeRecord(raw []byte) (any, error) {
-	payload, err := recordPayload(raw)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(payload)
-}
-
-// VerifyRecord validates a record's framing — magic, version, length
-// and payload crc — without decoding the payload. The remote tier uses
-// it on both ends of the wire: a record that fails is quarantined (read
-// as a miss), never trusted.
-func VerifyRecord(rec []byte) error {
-	_, err := recordPayload(rec)
-	return err
-}
-
-// DecodeRecord fully validates a record (framing plus codec payload)
-// and returns the value it carries.
-func DecodeRecord(rec []byte) (any, error) { return decodeRecord(rec) }
-
-// EncodeRecord frames value as a self-contained versioned record — the
-// exact bytes Disk persists and the cacheserver wire carries. ok is
-// false for values the codec does not carry; such values stay
-// in-process.
-func EncodeRecord(value any) ([]byte, bool) {
-	payload, ok := Encode(value)
-	if !ok {
-		return nil, false
-	}
-	return encodeRecord(payload), true
-}
-
 // encodeRecord frames a codec payload with the header and crc.
 func encodeRecord(payload []byte) []byte {
 	rec := make([]byte, diskHeaderLen, diskHeaderLen+len(payload))
@@ -329,7 +295,7 @@ func encodeRecord(payload []byte) []byte {
 }
 
 // Put persists a value under key. Encoding is skipped for values the
-// wire format does not carry; an indexed key is left alone (equal
+// codec does not carry; an indexed key is left alone (equal
 // digests imply equal converged values). Exceeding the byte budget
 // triggers an oldest-first GC.
 func (d *Disk) Put(key contenthash.Digest, value any) {
@@ -341,41 +307,6 @@ func (d *Disk) Put(key contenthash.Digest, value any) {
 		return
 	}
 	d.append(key, encodeRecord(payload))
-}
-
-// GetRecord returns the raw validated record bytes stored under key —
-// the server side of the remote tier, which passes records through
-// byte-for-byte instead of decoding them. Framing and crc are verified
-// before the bytes leave the store; an invalid entry is quarantined
-// exactly as in Get.
-func (d *Disk) GetRecord(key contenthash.Digest) ([]byte, bool) {
-	rec, l, err := d.lookup(key)
-	if !d.count(key, l, err) {
-		return nil, false
-	}
-	return rec, true
-}
-
-// PutRecord persists pre-framed record bytes under key, after verifying
-// the framing and crc (the caller is a wire peer; its bytes are never
-// trusted). An indexed key is left alone.
-func (d *Disk) PutRecord(key contenthash.Digest, rec []byte) error {
-	if err := VerifyRecord(rec); err != nil {
-		return err
-	}
-	d.append(key, rec)
-	return nil
-}
-
-// HasRecord reports whether a valid record exists under key without
-// decoding it (the HEAD side of the remote protocol). Only a corrupt
-// entry moves the counters.
-func (d *Disk) HasRecord(key contenthash.Digest) bool {
-	_, l, err := d.lookup(key)
-	if err != nil && err != errAbsent {
-		d.count(key, l, err)
-	}
-	return err == nil
 }
 
 // append writes key's entry at the end of this Disk's own segment and
@@ -488,9 +419,9 @@ func (d *Disk) gc() {
 	}
 }
 
-// Close closes every segment file. Afterwards Get, GetRecord and
-// HasRecord miss and Put and PutRecord store nothing; the segments
-// stay on disk for the next NewDisk. Close is idempotent.
+// Close closes every segment file. Afterwards Get misses and Put
+// stores nothing; the segments stay on disk for the next NewDisk.
+// Close is idempotent.
 func (d *Disk) Close() {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()

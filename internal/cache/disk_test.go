@@ -109,7 +109,7 @@ func TestDiskTornTail(t *testing.T) {
 // so the directory stays within the budget across restarts.
 func TestDiskGCAcrossRestarts(t *testing.T) {
 	rep := sampleRTAReport(nil)
-	rec, _ := EncodeRecord(rep)
+	rec := recordOf(rep)
 	budget := 8 * int64(len(rec))
 	dir := t.TempDir()
 	for run := 0; run < 5; run++ {
@@ -262,7 +262,7 @@ func TestDiskSharedDirectory(t *testing.T) {
 // and neither Puts nor GC touch its files.
 func TestDiskOldLayoutIgnored(t *testing.T) {
 	dir := t.TempDir()
-	rec, _ := EncodeRecord(sampleRTAResult())
+	rec := recordOf(sampleRTAResult())
 	key := digestOf(1)
 	hex := key.String()
 	if err := os.MkdirAll(filepath.Join(dir, hex[:2]), 0o755); err != nil {
@@ -291,7 +291,7 @@ func TestDiskOldLayoutIgnored(t *testing.T) {
 }
 
 // TestDiskAfterClose: a closed store misses every lookup and stores
-// nothing, as Remote after Close.
+// nothing.
 func TestDiskAfterClose(t *testing.T) {
 	d := newTestDisk(t, 0)
 	key := digestOf(1)
@@ -301,15 +301,8 @@ func TestDiskAfterClose(t *testing.T) {
 	if _, ok := d.Get(key); ok {
 		t.Fatal("Get hit after Close")
 	}
-	if _, ok := d.GetRecord(key); ok || d.HasRecord(key) {
-		t.Fatal("record served after Close")
-	}
 	before := d.Stats()
 	d.Put(digestOf(2), sampleRTAResult())
-	rec, _ := EncodeRecord(sampleRTAResult())
-	if err := d.PutRecord(digestOf(3), rec); err != nil {
-		t.Fatal(err)
-	}
 	if st := d.Stats(); st.Entries != before.Entries || st.Bytes != before.Bytes {
 		t.Fatalf("Put after Close stored: %+v, was %+v", st, before)
 	}
@@ -372,7 +365,7 @@ func TestDiskCloseReleasesDescriptors(t *testing.T) {
 		t.Skip("counts /proc/self/fd")
 	}
 	rep := sampleRTAReport(nil)
-	rec, _ := EncodeRecord(rep)
+	rec := recordOf(rep)
 	dir := t.TempDir()
 	// A small budget rotates segments, so every store holds several.
 	budget := 40 * int64(len(rec))
@@ -424,9 +417,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // FuzzDiskOpen opens a store over one segment of arbitrary bytes,
 // optionally after a valid segment's bytes. The scan must read each
 // byte at most once and index only entries whose records verify; every
-// indexed record must then serve, Get exactly what DecodeRecord makes
-// of GetRecord's bytes — or, for a well-framed payload the codec
-// refuses, a counted corrupt miss.
+// indexed record must then serve, Get exactly what decoding the record
+// lookup reads gives — or, for a well-framed payload the codec refuses,
+// a counted corrupt miss.
 func FuzzDiskOpen(f *testing.F) {
 	_, valid := fillSegment(f, f.TempDir(), 3)
 	f.Add([]byte{}, false)
@@ -465,20 +458,20 @@ func FuzzDiskOpen(f *testing.F) {
 			keys = append(keys, k)
 		}
 		for _, k := range keys {
-			rec, ok := d.GetRecord(k)
-			if !ok {
-				t.Fatalf("indexed %v does not serve", k)
+			rec, _, err := d.lookup(k)
+			if err != nil {
+				t.Fatalf("indexed %v does not serve: %v", k, err)
 			}
-			want, derr := DecodeRecord(rec)
+			want, derr := decodeRecord(rec)
 			got, hit := d.Get(k)
 			if derr != nil {
 				if hit {
-					t.Fatalf("%v: Get served a record DecodeRecord refuses: %v", k, derr)
+					t.Fatalf("%v: Get served a record decodeRecord refuses: %v", k, derr)
 				}
 				continue
 			}
 			if !hit || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: Get = %v, %v; DecodeRecord gives %v", k, got, hit, want)
+				t.Fatalf("%v: Get = %v, %v; decodeRecord gives %v", k, got, hit, want)
 			}
 		}
 	})

@@ -47,6 +47,22 @@ func TestDiskGCAccountingRace(t *testing.T) {
 			}
 		}
 	}()
+	// One corrupt record exercises the quarantine path's accounting
+	// under the same race. It is written and corrupted before the
+	// writers start, since a writer's GC may delete its segment at any
+	// moment after, and read while they run.
+	quarantined := digestOf(999_999)
+	d.Put(quarantined, rep)
+	path, off := entryAt(t, d.Dir(), quarantined)
+	if f, err := os.OpenFile(path, os.O_RDWR, 0); err == nil {
+		last := off + int64(entryPrefixLen) + recLen - 1
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], last); err == nil {
+			b[0] ^= 0xFF
+			f.WriteAt(b[:], last)
+		}
+		f.Close()
+	}
 	// Writers keep pushing records while GCs run on every overflow.
 	writersWG.Add(writers)
 	for w := 0; w < writers; w++ {
@@ -59,20 +75,6 @@ func TestDiskGCAccountingRace(t *testing.T) {
 				d.gc()
 			}
 		}(w)
-	}
-	// One corrupt record mid-flight exercises the quarantine path's
-	// accounting under the same race.
-	quarantined := digestOf(999_999)
-	d.Put(quarantined, rep)
-	path, off := entryAt(t, d.Dir(), quarantined)
-	if f, err := os.OpenFile(path, os.O_RDWR, 0); err == nil {
-		last := off + int64(entryPrefixLen) + recLen - 1
-		var b [1]byte
-		if _, err := f.ReadAt(b[:], last); err == nil {
-			b[0] ^= 0xFF
-			f.WriteAt(b[:], last)
-		}
-		f.Close()
 	}
 	d.Get(quarantined) // quarantines (unless GC removed it first)
 

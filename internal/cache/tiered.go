@@ -55,52 +55,3 @@ func (t *Tiered) Stats() Stats {
 	s.Bytes, s.MaxBytes, s.Corrupt, s.Skipped = l2.Bytes, l2.MaxBytes, l2.Corrupt, l2.Skipped
 	return s
 }
-
-// Shared is a process's shared result level, the tiers every private
-// LRU stacks over. Disk and Remote are nil when not configured.
-type Shared struct {
-	// Store is the composed level: the Disk alone, the Remote alone,
-	// the Disk over the Remote (remote hits are promoted onto disk), or
-	// nil when neither is configured.
-	Store  Store
-	Disk   *Disk
-	Remote *Remote
-}
-
-// OpenShared opens the shared level from its settings: a Disk in dir
-// holding at most maxBytes (none when dir is empty) over a Remote for
-// the cacheserver at remoteURL (none when it is empty). On error it
-// leaves nothing open. The caller must Close the result.
-func OpenShared(dir string, maxBytes int64, remoteURL string) (*Shared, error) {
-	s := &Shared{}
-	if dir != "" {
-		d, err := NewDisk(dir, maxBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.Disk, s.Store = d, d
-	}
-	if remoteURL != "" {
-		r, err := NewRemote(RemoteConfig{BaseURL: remoteURL})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.Remote, s.Store = r, r
-		if s.Disk != nil {
-			s.Store = NewTiered(s.Disk, r)
-		}
-	}
-	return s, nil
-}
-
-// Close flushes the Remote's write-behind queue, so its results reach
-// the fleet, then closes the Disk's segment files.
-func (s *Shared) Close() {
-	if s.Remote != nil {
-		s.Remote.Close()
-	}
-	if s.Disk != nil {
-		s.Disk.Close()
-	}
-}

@@ -186,12 +186,6 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 		store = cache.NewTiered(store, cfg.Cache)
 	}
 	sess := whatif.NewSystemSession(sys, whatif.Options{Store: store, Workers: 1})
-	tr := obs.TraceFrom(ctx)
-	remote := cache.RemoteOf(cfg.Cache)
-	var remoteStart cache.RemoteStats
-	if tr != nil && remote != nil {
-		remoteStart = remote.RemoteStats()
-	}
 
 	_, asp := obs.StartSpan(ctx, "analyze")
 	base, err := sess.Analyze(core.DefaultMaxIterations)
@@ -261,10 +255,7 @@ func runScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (Scenar
 	}
 	root.SetInt("cache_hits", int64(row.CacheHits))
 	root.SetInt("cache_misses", int64(row.CacheMisses))
-	obs.RecordCache(tr, root.ID(), row.CacheHits, row.CacheMisses, st.SharedHits, cfg.Cache != nil)
-	if tr != nil && remote != nil {
-		obs.RecordRemote(tr, root.ID(), remoteStart, remote.RemoteStats())
-	}
+	obs.RecordCache(obs.TraceFrom(ctx), root.ID(), row.CacheHits, row.CacheMisses, st.SharedHits, cfg.Cache != nil)
 	return row, nil
 }
 

@@ -49,6 +49,11 @@ func (f Frame) Validate() error {
 	return nil
 }
 
+// Identifier returns the frame's ID in its format.
+func (f Frame) Identifier() Identifier {
+	return Identifier{ID: f.ID, Format: f.Format}
+}
+
 // BitsNominal returns the frame length in bits assuming no stuff bits are
 // inserted — the best case on the wire.
 func (f Frame) BitsNominal() int {

@@ -36,6 +36,15 @@ func (f IDFormat) MaxID() ID {
 // so a numerically smaller ID has higher priority.
 type ID uint32
 
+// Identifier is an ID in its format, what arbitration tells frames
+// apart by: a standard 0x1 and an extended 0x1 are distinct
+// identifiers on the wire, so a duplicate check keys by Identifier,
+// never by ID alone.
+type Identifier struct {
+	ID     ID
+	Format IDFormat
+}
+
 // Valid reports whether the identifier fits the given format.
 func (id ID) Valid(f IDFormat) bool {
 	return id <= f.MaxID()

@@ -91,15 +91,15 @@ func RunMonteCarlo(p MonteCarloParams) (*MonteCarlo, error) {
 	for _, res := range results {
 		for _, st := range res.Stats {
 			mc.TotalFrames += st.Sent
-			r := rep.ByName(st.Name)
-			if r == nil || r.WCRT == rta.Unschedulable || st.Sent == 0 {
-				continue
-			}
-			if st.MaxResponse > r.WCRT {
+			wcrt := rep.ByName(st.Name).WCRT
+			if st.Exceeds(wcrt) {
 				mc.Violations++
 				continue
 			}
-			margin := 100 * float64(r.WCRT-st.MaxResponse) / float64(r.WCRT)
+			if wcrt == rta.Unschedulable || st.Sent == 0 {
+				continue
+			}
+			margin := 100 * float64(wcrt-st.MaxResponse) / float64(wcrt)
 			if margin < mc.TightestMarginPct {
 				mc.TightestMarginPct = margin
 				mc.TightestMessage = st.Name

@@ -122,13 +122,13 @@ func (k *KMatrix) Bus() can.Bus {
 }
 
 // Validate checks all rows plus matrix-level invariants: unique names and
-// unique identifiers.
+// unique identifiers, an identifier being an ID in its format.
 func (k *KMatrix) Validate() error {
 	if err := k.Bus().Validate(); err != nil {
 		return err
 	}
 	names := make(map[string]bool, len(k.Messages))
-	ids := make(map[can.ID]string, len(k.Messages))
+	ids := make(map[can.Identifier]string, len(k.Messages))
 	for _, m := range k.Messages {
 		if err := m.Validate(); err != nil {
 			return err
@@ -137,10 +137,11 @@ func (k *KMatrix) Validate() error {
 			return fmt.Errorf("kmatrix: duplicate message name %q", m.Name)
 		}
 		names[m.Name] = true
-		if prev, ok := ids[m.ID]; ok {
-			return fmt.Errorf("kmatrix: messages %q and %q share ID %s", prev, m.Name, m.ID)
+		id := m.Frame().Identifier()
+		if prev, ok := ids[id]; ok {
+			return fmt.Errorf("kmatrix: messages %q and %q share %s ID %s", prev, m.Name, id.Format, id.ID)
 		}
-		ids[m.ID] = m.Name
+		ids[id] = m.Name
 	}
 	return nil
 }

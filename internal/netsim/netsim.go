@@ -285,7 +285,7 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("netsim: bus %s has no messages", b.Name)
 		}
 		seen := map[string]bool{}
-		ids := map[can.ID]string{}
+		ids := map[can.Identifier]string{}
 		for _, m := range b.Messages {
 			if m.Name == "" {
 				return fmt.Errorf("netsim: bus %s: message with ID %s has no name", b.Name, m.Frame.ID)
@@ -300,11 +300,12 @@ func (t *Topology) Validate() error {
 			if err := m.Event.Validate(); err != nil {
 				return fmt.Errorf("netsim: bus %s: message %s: %w", b.Name, m.Name, err)
 			}
-			if prev, dup := ids[m.Frame.ID]; dup {
-				return fmt.Errorf("netsim: bus %s: messages %q and %q share ID %s",
-					b.Name, prev, m.Name, m.Frame.ID)
+			id := m.Frame.Identifier()
+			if prev, dup := ids[id]; dup {
+				return fmt.Errorf("netsim: bus %s: messages %q and %q share %s ID %s",
+					b.Name, prev, m.Name, id.Format, id.ID)
 			}
-			ids[m.Frame.ID] = m.Name
+			ids[id] = m.Name
 			if m.Node == "" {
 				return fmt.Errorf("netsim: bus %s: message %s: no node", b.Name, m.Name)
 			}

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/rta"
-	"repro/internal/tdma"
 )
 
 // Validation folds simulated runs against the compositional bounds of
@@ -100,12 +98,13 @@ func (v *Validation) Add(res *Result) {
 			v.Violations++
 		}
 	}
+	// v.a analyses the system topo was built from, so every simulated
+	// message has a result.
 	for _, br := range res.Buses {
 		rep := v.a.BusReports[br.Name]
 		for _, s := range br.Stats {
 			v.Frames += s.Sent
-			r := rep.ByName(s.Name)
-			if r != nil && r.WCRT != rta.Unschedulable && s.Sent > 0 && s.MaxResponse > r.WCRT {
+			if s.Exceeds(rep.ByName(s.Name).WCRT) {
 				v.Violations++
 			}
 		}
@@ -114,8 +113,7 @@ func (v *Validation) Add(res *Result) {
 		rep := v.a.TDMAReports[br.Name]
 		for _, s := range br.Stats {
 			v.Frames += s.Sent
-			r := rep.ByName(s.Name)
-			if r != nil && r.WCRT != tdma.Unschedulable && s.Sent > 0 && s.MaxResponse > r.WCRT {
+			if s.Exceeds(rep.ByName(s.Name).WCRT) {
 				v.Violations++
 			}
 		}

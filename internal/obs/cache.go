@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"time"
-
-	"repro/internal/cache"
-)
+import "time"
 
 // RecordCache records a traced operation's cache traffic, as the
 // what-if session memo counted it, as spans under parent: "cache.l1"
@@ -27,23 +23,4 @@ func RecordCache(tr *Trace, parent uint64, hits, misses, sharedHits uint64, shar
 			{Key: "misses", Value: utoa(misses - sharedHits)},
 		}})
 	}
-}
-
-// RecordRemote records the fleet tier's movement between two of its
-// RemoteStats snapshots as a "cache.remote" span under parent, when
-// lookups reached the tier or it degraded any. The counters are
-// process-global, so the span also counts operations that overlapped
-// this one. A nil trace is a no-op.
-func RecordRemote(tr *Trace, parent uint64, start, end cache.RemoteStats) {
-	gets := end.Gets - start.Gets
-	if tr == nil || (gets == 0 && end.Degraded == start.Degraded) {
-		return
-	}
-	tr.record(Span{ID: tr.newSpanID(), Parent: parent, Name: "cache.remote", Start: time.Now(), Attrs: []Attr{
-		{Key: "gets", Value: utoa(gets)},
-		{Key: "hits", Value: utoa(end.Hits - start.Hits)},
-		{Key: "errors", Value: utoa(end.Errors - start.Errors)},
-		{Key: "degraded", Value: utoa(end.Degraded - start.Degraded)},
-		{Key: "breaker", Value: end.Breaker.String()},
-	}})
 }

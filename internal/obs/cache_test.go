@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"testing"
-
-	"repro/internal/cache"
-)
+import "testing"
 
 // spanAttrs indexes a trace's spans by name, each as its attribute map.
 func spanAttrs(tr *Trace) map[string]map[string]string {
@@ -46,7 +42,6 @@ func TestRecordCacheSpans(t *testing.T) {
 func TestRecordCacheIdleEmitsNothing(t *testing.T) {
 	tr := NewTrace(testID(11), 0)
 	RecordCache(tr, 0, 0, 0, 0, true)
-	RecordRemote(tr, 0, cache.RemoteStats{Gets: 3}, cache.RemoteStats{Gets: 3})
 	if tr.Len() != 0 {
 		t.Fatalf("idle traffic recorded %d spans", tr.Len())
 	}
@@ -55,17 +50,4 @@ func TestRecordCacheIdleEmitsNothing(t *testing.T) {
 func TestRecordCacheNilTrace(t *testing.T) {
 	// Must not panic.
 	RecordCache(nil, 0, 1, 1, 1, true)
-	RecordRemote(nil, 0, cache.RemoteStats{}, cache.RemoteStats{Gets: 1})
-}
-
-func TestRecordRemote(t *testing.T) {
-	tr := NewTrace(testID(12), 0)
-	start := cache.RemoteStats{Gets: 10, Hits: 4, Errors: 1}
-	end := cache.RemoteStats{Gets: 16, Hits: 9, Errors: 1, Degraded: 2, Breaker: cache.BreakerOpen}
-	RecordRemote(tr, 3, start, end)
-	a := spanAttrs(tr)["cache.remote"]
-	if a["gets"] != "6" || a["hits"] != "5" || a["errors"] != "0" || a["degraded"] != "2" ||
-		a["breaker"] != cache.BreakerOpen.String() {
-		t.Fatalf("cache.remote attrs = %v", a)
-	}
 }

@@ -360,11 +360,11 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 	cfg := campaign.Config{
 		Workers: s.cfg.Workers,
 		// Local scenario runs stack their private LRUs on the server's
-		// shared disk/remote level; a distributed run strips Cache from
-		// the wire and each worker brings its own. Flight, like Cache,
-		// is process-local and never travels — the recorder keeps the
+		// disk L2; a distributed run strips Cache from the wire and
+		// each worker brings its own. Flight, like Cache, is
+		// process-local and never travels — the recorder keeps the
 		// slowest scenarios for GET /v1/debug/slowest.
-		Cache:  s.shared.Store,
+		Cache:  s.l2(),
 		Flight: s.flight,
 	}
 	if cfg.Seeds, err = queryInt(r, "seeds", 0); err == nil {

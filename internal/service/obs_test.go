@@ -89,6 +89,37 @@ func TestPromMetricsDiskTier(t *testing.T) {
 	assertFamiliesGrouped(t, body)
 }
 
+// TestDiskTierResponseByteIdentical: a server over a disk L2 answers
+// byte for byte what a server without one answers, cold and warm. The
+// warm server opens the directory the cold one filled, as a restarted
+// process would: its LRU is empty, so the disk serves its lookups.
+func TestDiskTierResponseByteIdentical(t *testing.T) {
+	_, plain := newTestServer(t)
+	spec := testSpec(t, 11)
+	status, want := do(t, "POST", plain+"/v1/analyze", spec)
+	if status != http.StatusOK {
+		t.Fatalf("plain analyze: %d %s", status, want)
+	}
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		srv := mustServer(t, Config{Workers: 1, CacheDir: dir})
+		hs := httptest.NewServer(srv.Handler())
+		status, got := do(t, "POST", hs.URL+"/v1/analyze", spec)
+		l2Hits := sample(t, scrape(t, hs.URL), `symtago_cache_hits_total{tier="l2"}`)
+		hs.Close()
+		srv.Close()
+		if status != http.StatusOK {
+			t.Fatalf("%s analyze: %d %s", pass, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s disk-tier response differs from the plain server's", pass)
+		}
+		if pass == "warm" && l2Hits == 0 {
+			t.Fatal("the warm server served no lookup from the disk L2")
+		}
+	}
+}
+
 // TestTracedSessionRoutesRecordCacheSpans pins one cache accountant on
 // the interactive path: a traced session analysis or revision carries
 // one cache.l1 span whose hits and misses are exactly the change the

@@ -68,13 +68,6 @@ type Config struct {
 	// CacheMaxBytes bounds the disk level (<= 0 selects
 	// cache.DefaultDiskBytes).
 	CacheMaxBytes int64
-	// RemoteCache, when non-empty, is the base URL of a `symtago
-	// cacheserver` process composed under the local tiers as the
-	// fleet-shared third level. Like the disk level it never changes a
-	// response byte: remote failures degrade to local-only behind a
-	// circuit breaker, and every degraded answer is just a miss.
-	RemoteCache string
-
 	// WorkerAddrs, when non-empty, runs campaigns distributed: the
 	// server coordinates shards over these worker base URLs (symtago
 	// worker processes, or other serve instances — every server mounts
@@ -141,9 +134,9 @@ func (c Config) withDefaults() Config {
 // expose with Handler.
 type Server struct {
 	cfg       Config
-	lru       *cache.LRU    // the memo's in-process level
-	store     cache.Store   // session/analyze memo store (lru, or Tiered over shared.Store)
-	shared    *cache.Shared // the process-shared disk and remote tiers under store
+	lru       *cache.LRU  // the memo's in-process level
+	store     cache.Store // session/analyze memo store (lru, or Tiered over disk)
+	disk      *cache.Disk // the disk L2 under store; nil without CacheDir
 	reg       *whatif.Registry
 	metrics   *metrics
 	adm       *admission
@@ -166,20 +159,21 @@ type Server struct {
 }
 
 // New returns a ready-to-serve Server. It fails only when a configured
-// CacheDir cannot be opened or RemoteCache is not a base URL.
+// CacheDir cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	shared, err := cache.OpenShared(cfg.CacheDir, cfg.CacheMaxBytes, cfg.RemoteCache)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	// The memo LRU sits on top of the shared level. Session counters
-	// see only its hits, so responses stay byte-identical for any cache
+	// The memo LRU sits on top of the disk L2. Session counters see
+	// only its hits, so responses stay byte-identical for any cache
 	// state.
 	lru := cache.NewLRU(cfg.StoreCapacity)
 	var store cache.Store = lru
-	if shared.Store != nil {
-		store = cache.NewTiered(lru, shared.Store)
+	var disk *cache.Disk
+	if cfg.CacheDir != "" {
+		var err error
+		if disk, err = cache.NewDisk(cfg.CacheDir, cfg.CacheMaxBytes); err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
+		store = cache.NewTiered(lru, disk)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := whatif.NewRegistry(cfg.SessionTTL)
@@ -194,17 +188,17 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		lru:       lru,
 		store:     store,
-		shared:    shared,
+		disk:      disk,
 		reg:       reg,
 		metrics:   newMetrics(),
 		adm:       newAdmission(cfg.MaxClients, cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
-		worker:    distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: shared.Store}),
 		collector: obs.NewCollector(cfg.TraceSample, cfg.TraceBuffer),
 		flight:    flight,
 		ctx:       ctx,
 		cancel:    cancel,
 		jobs:      map[string]*campaignJob{},
 	}
+	s.worker = distrib.NewWorker(distrib.WorkerConfig{Workers: cfg.Workers, Cache: s.l2()})
 	mux := http.NewServeMux()
 	// Application routes pass the admission chain; operational routes
 	// (health, metrics, shards) bypass it — health and metrics must
@@ -248,13 +242,24 @@ func New(cfg Config) (*Server, error) {
 // uniform JSON error body.
 func (s *Server) Handler() http.Handler { return jsonFallback(s.mux) }
 
-// Close cancels every running campaign job, flushes the remote tier's
-// write-behind queue and closes the disk tier's segment files. In-flight
-// requests finish normally, a disk lookup among them as a miss; the
-// owning http.Server handles connection shutdown.
+// Close cancels every running campaign job and closes the disk L2's
+// segment files. In-flight requests finish normally, a disk lookup
+// among them as a miss; the owning http.Server handles connection
+// shutdown.
 func (s *Server) Close() {
 	s.cancel()
-	s.shared.Close()
+	if s.disk != nil {
+		s.disk.Close()
+	}
+}
+
+// l2 returns the disk L2 as a cache.Store: nil without CacheDir, never
+// a typed-nil *cache.Disk, which would read as a configured level.
+func (s *Server) l2() cache.Store {
+	if s.disk == nil {
+		return nil
+	}
+	return s.disk
 }
 
 // StartDraining flips the admission gate: every subsequent application

@@ -47,26 +47,17 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // analyze runs sess's analysis for a request: the one call through
 // which every route that analyses reaches a session. On a traced
 // request it records this call's cache traffic — the change in the
-// session's own counters — and the fleet tier's movement under the
-// route's span.
+// session's own counters — under the route's span.
 func (s *Server) analyze(r *http.Request, sess *whatif.SystemSession) (*core.Analysis, error) {
 	tr := obs.TraceFrom(r.Context())
 	if tr == nil {
 		return sess.Analyze(core.DefaultMaxIterations)
 	}
 	before := sess.Stats()
-	var remote cache.RemoteStats
-	if s.shared.Remote != nil {
-		remote = s.shared.Remote.RemoteStats()
-	}
 	a, err := sess.Analyze(core.DefaultMaxIterations)
 	after := sess.Stats()
-	parent := obs.SpanIDFrom(r.Context())
-	obs.RecordCache(tr, parent, after.Hits+after.ReportHits-before.Hits-before.ReportHits,
-		after.Misses-before.Misses, after.SharedHits-before.SharedHits, s.shared.Store != nil)
-	if s.shared.Remote != nil {
-		obs.RecordRemote(tr, parent, remote, s.shared.Remote.RemoteStats())
-	}
+	obs.RecordCache(tr, obs.SpanIDFrom(r.Context()), after.Hits+after.ReportHits-before.Hits-before.ReportHits,
+		after.Misses-before.Misses, after.SharedHits-before.SharedHits, s.disk != nil)
 	return a, err
 }
 
@@ -155,18 +146,15 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Uint("symtago_tenant_shed_total", obs.Labels{"tenant", t}, tc[t].shed)
 	}
 
-	// Cache tiers, one handle each: the memo LRU, then the shared
-	// level's disk and fleet tiers when configured.
+	// Cache tiers, one handle each: the memo LRU, then the disk L2
+	// when configured.
 	type tier struct {
 		name string
 		cs   cache.Stats
 	}
 	tiers := []tier{{"l1", s.lru.Stats()}}
-	if s.shared.Disk != nil {
-		tiers = append(tiers, tier{"l2", s.shared.Disk.Stats()})
-	}
-	if s.shared.Remote != nil {
-		tiers = append(tiers, tier{"remote", s.shared.Remote.Stats()})
+	if s.disk != nil {
+		tiers = append(tiers, tier{"l2", s.disk.Stats()})
 	}
 	for _, f := range []struct {
 		name, typ, help string
@@ -185,9 +173,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, t := range tiers {
 			p.Uint(f.name, obs.Labels{"tier", t.name}, f.v(t.cs))
 		}
-	}
-	if s.shared.Remote != nil {
-		s.promRemote(p)
 	}
 
 	reg := s.reg.Stats()
@@ -248,39 +233,4 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Uint("symtago_traces_retained", nil, uint64(s.collector.Len()))
 	p.Family("symtago_flight_offered_total", "counter", "Operations offered to the flight recorder.")
 	p.Uint("symtago_flight_offered_total", nil, s.flight.Offered())
-}
-
-// promRemote emits the fleet-tier client families: lookup outcomes,
-// the write-behind pipeline, the circuit breaker's state and history,
-// and the fetch-latency histogram.
-func (s *Server) promRemote(p *obs.Prom) {
-	rs := s.shared.Remote.RemoteStats()
-	p.Family("symtago_remote_cache_gets_total", "counter", "Lookups reaching the remote tier.")
-	p.Uint("symtago_remote_cache_gets_total", nil, rs.Gets)
-	p.Family("symtago_remote_cache_errors_total", "counter", "Remote transport failures and unexpected statuses.")
-	p.Uint("symtago_remote_cache_errors_total", nil, rs.Errors)
-	p.Family("symtago_remote_cache_retries_total", "counter", "Remote fetch re-attempts after a failure.")
-	p.Uint("symtago_remote_cache_retries_total", nil, rs.Retries)
-	p.Family("symtago_remote_cache_degraded_total", "counter", "Lookups answered all-miss because the breaker was open.")
-	p.Uint("symtago_remote_cache_degraded_total", nil, rs.Degraded)
-	p.Family("symtago_remote_cache_collapsed_total", "counter", "Concurrent duplicate lookups folded into another flight's fetch.")
-	p.Uint("symtago_remote_cache_collapsed_total", nil, rs.Collapsed)
-	p.Family("symtago_remote_cache_puts_total", "counter", "Write-behind PUTs by outcome.")
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "queued"}, rs.PutsQueued)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "sent"}, rs.PutsSent)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "dropped"}, rs.PutsDropped)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "error"}, rs.PutErrors)
-	p.Family("symtago_remote_cache_put_queue_len", "gauge", "Current write-behind backlog.")
-	p.Uint("symtago_remote_cache_put_queue_len", nil, uint64(rs.QueueLen))
-	p.Family("symtago_remote_cache_breaker_state", "gauge", "Circuit breaker state (0 closed, 1 half-open, 2 open).")
-	p.Uint("symtago_remote_cache_breaker_state", nil, uint64(rs.Breaker))
-	p.Family("symtago_remote_cache_breaker_opens_total", "counter", "Closed-to-open breaker transitions.")
-	p.Uint("symtago_remote_cache_breaker_opens_total", nil, rs.BreakerOpens)
-	lb := cache.RemoteLatencyBounds()
-	bounds := make([]float64, len(lb))
-	for i, b := range lb {
-		bounds[i] = b.Seconds()
-	}
-	p.Family("symtago_remote_cache_fetch_seconds", "histogram", "Remote fetch latency (one observation per served lookup).")
-	p.Histogram("symtago_remote_cache_fetch_seconds", nil, bounds, rs.LatencyBuckets, float64(rs.LatencySumNS)/1e9)
 }

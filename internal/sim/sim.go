@@ -147,6 +147,15 @@ type Stats struct {
 	MinResponse time.Duration
 }
 
+// Exceeds reports whether the largest observed response exceeds bound,
+// the message's analytic WCRT. It is the one per-message bound check
+// of every simulation cross-check, and it needs no guards: an
+// unbounded message's WCRT (rta.Unschedulable, tdma.Unschedulable) is
+// math.MaxInt64, and a message that sent nothing has MaxResponse 0.
+func (s *Stats) Exceeds(bound time.Duration) bool {
+	return s.MaxResponse > bound
+}
+
 // LossRatio returns lost/released, or 0.
 func (s *Stats) LossRatio() float64 {
 	if s.Released == 0 {
@@ -224,7 +233,7 @@ func validate(specs []MessageSpec, cfg Config) error {
 		return fmt.Errorf("sim: no messages")
 	}
 	seen := map[string]bool{}
-	ids := map[can.ID]string{}
+	ids := map[can.Identifier]string{}
 	for _, s := range specs {
 		if s.Name == "" {
 			return fmt.Errorf("sim: message with ID %s has no name", s.Frame.ID)
@@ -239,10 +248,11 @@ func validate(specs []MessageSpec, cfg Config) error {
 		if err := s.Event.Validate(); err != nil {
 			return fmt.Errorf("sim: message %s: %w", s.Name, err)
 		}
-		if prev, dup := ids[s.Frame.ID]; dup {
-			return fmt.Errorf("sim: messages %q and %q share ID %s", prev, s.Name, s.Frame.ID)
+		id := s.Frame.Identifier()
+		if prev, dup := ids[id]; dup {
+			return fmt.Errorf("sim: messages %q and %q share %s ID %s", prev, s.Name, id.Format, id.ID)
 		}
-		ids[s.Frame.ID] = s.Name
+		ids[id] = s.Name
 		if s.Node == "" {
 			return fmt.Errorf("sim: message %s: no node", s.Name)
 		}

@@ -108,7 +108,7 @@ func (m *memo) bus(msgs []rta.Message, cfg rta.Config) (*rta.Report, error) {
 }
 
 // The other whole-resource reports do consult the shared second level:
-// they are the unit of recomputation, so a remote hit replaces the
+// they are the unit of recomputation, so an L2 hit replaces the
 // analysis one-for-one. As in Get, only an L1 hit is counted as a
 // ReportHit; an L2 hit is charged like the recomputation it replaced.
 

@@ -20,8 +20,8 @@
 #   * backtick-quoted test names (`TestX`, `BenchmarkX`, `FuzzX`; a
 #     /subtest suffix is ignored), checked as funcs in a _test.go file
 #   * backtick-quoted HTTP routes (`GET /v1/x`, or a bare path under
-#     /v1/, /metrics, /healthz, /cache/ or /debug/pprof/), checked
-#     against the patterns symtago registers on its muxes
+#     /v1/, /metrics, /healthz or /debug/pprof/), checked against the
+#     patterns symtago registers on its muxes
 #
 # Exits non-zero listing every dead reference.
 set -euo pipefail
@@ -106,12 +106,12 @@ done <<<"$tests"
 
 # --- HTTP routes -------------------------------------------------------------
 # Registered patterns: the first argument of every HandleFunc (and of
-# the service's ops/route helpers) in the service, the shard worker,
-# the cacheserver and the pprof mux, with path constants of distrib and
-# cache substituted. A pattern naming anything else is skipped.
-route_consts=$(find internal/distrib internal/cache -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
+# the service's ops/route helpers) in the service, the shard worker
+# and the pprof mux, with path constants of distrib substituted. A
+# pattern naming anything else is skipped.
+route_consts=$(find internal/distrib -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
   sed -nE 's/^(const )?[[:space:]]*([A-Z][A-Za-z0-9_]*)[[:space:]]*=[[:space:]]*"([^"]*)".*/\2 \3/p' {} +)
-patterns=$(find internal/service internal/distrib internal/cacheserver cmd/symtago -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
+patterns=$(find internal/service internal/distrib cmd/symtago -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec \
   sed -nE 's/.*(HandleFunc|[^A-Za-z_.]ops|[^A-Za-z_.]route)\(([^,]*),.*/\2/p' {} + |
   awk -v consts="$route_consts" '
     BEGIN { n = split(consts, cl, "\n"); for (i = 1; i <= n; i++) { split(cl[i], kv, " "); val[kv[1]] = kv[2] } }
@@ -127,7 +127,7 @@ patterns=$(find internal/service internal/distrib internal/cacheserver cmd/symta
       if (out ~ /^([A-Z]+ )?\//) print out
     }' | sort -u)
 routes=$(grep -ohE '`((GET|HEAD|POST|PUT|DELETE|PATCH) )?/[^` ]*`' "${doc_files[@]}" | tr -d '`' |
-  grep -E '^[A-Z]+ /|^/(v1/|metrics|healthz|cache/|debug/pprof/)' | sort -u)
+  grep -E '^[A-Z]+ /|^/(v1/|metrics|healthz|debug/pprof/)' | sort -u)
 n_routes=$(grep -c . <<<"$routes" || true)
 # A doc route matches a pattern when the methods agree (a pattern
 # without one takes any; GET also answers HEAD), and the paths agree
